@@ -6,6 +6,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "core/pipeline.h"
 #include "io/checkpoint.h"
@@ -140,15 +141,12 @@ SimulationReport Simulation::run() {
     std::reverse(resume_epochs.begin(), resume_epochs.end());
   }
 
-  // Slave force path: all ranks share ONE pool (its run() serializes
-  // concurrent epochs), either the campaign's shared executor or a private
-  // one owned by this run.
-  std::unique_ptr<sw::SlaveCorePool> owned_pool;
-  sw::SlaveCorePool* pool = cfg_.slave_pool;
-  if (cfg_.use_slave_force && pool == nullptr) {
-    owned_pool = std::make_unique<sw::SlaveCorePool>();
-    pool = owned_pool.get();
-  }
+  // Host thread budget for the slave force path: the rank threads plus every
+  // rank's CPE workers never exceed the hardware threads.
+  const std::size_t hw_threads =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t rank_os_threads = std::max<std::size_t>(
+      1, hw_threads / static_cast<std::size_t>(cfg_.nranks));
 
   comm::World world(cfg_.nranks);
   world.run([&](comm::Comm& comm) {
@@ -156,8 +154,20 @@ SimulationReport Simulation::run() {
                            comm.rank());
     kmc::KmcEngine kmc_engine(kmc_cfg, kmc_setup.geo, kmc_setup.dd, *kmc_tables_,
                               comm.rank(), cfg_.kmc_strategy);
+    // One rank = one core group (paper §2.1.2): each rank drives its own 64
+    // CPEs, unless a campaign supplies its shared executor.
+    std::unique_ptr<sw::SlaveCorePool> own_pool;
+    sw::SlaveCorePool* pool = nullptr;
     std::unique_ptr<md::SlaveForceCompute> slave_force;
     if (cfg_.use_slave_force) {
+      pool = cfg_.slave_pool;
+      if (pool == nullptr) {
+        own_pool = std::make_unique<sw::SlaveCorePool>(
+            sw::SlaveCorePool::kSunwayCoreGroupSize,
+            sw::LocalStore::kSunwayCapacity, sw::DmaCostModel{},
+            rank_os_threads);
+        pool = own_pool.get();
+      }
       slave_force = std::make_unique<md::SlaveForceCompute>(
           *md_tables_, *pool, md::AccelStrategy::CompactedReuse);
       slave_force->set_simd(cfg_.use_simd_force);
@@ -251,7 +261,27 @@ SimulationReport Simulation::run() {
     } else {
       pipeline.add(std::move(kmc_stage));
     }
+    const sw::SlaveCorePool::PoolActivity activity_before =
+        pool != nullptr ? pool->activity() : sw::SlaveCorePool::PoolActivity{};
     pipeline.run(comm, state, clock);
+
+    // Oversubscription: rank threads plus CPE workers (a pool's calling
+    // thread is the rank thread itself). Own pools add workers per rank; a
+    // shared executor adds its workers once.
+    const std::size_t nranks = static_cast<std::size_t>(comm.size());
+    std::size_t threads = nranks;
+    if (pool != nullptr) {
+      threads += (pool->os_threads() - 1) * (own_pool != nullptr ? nranks : 1);
+      telemetry::set_gauge("sw.pool.os_threads",
+                           static_cast<double>(pool->os_threads()));
+      telemetry::set_gauge(
+          "sw.pool.contended_epochs",
+          static_cast<double>(pool->activity().contended_epochs -
+                              activity_before.contended_epochs));
+    }
+    telemetry::set_gauge("host.oversubscription",
+                         static_cast<double>(threads) /
+                             static_cast<double>(hw_threads));
 
     if (comm.rank() == 0) {
       std::lock_guard lk(report_mutex);

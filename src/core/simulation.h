@@ -90,8 +90,10 @@ struct SimulationConfig {
   /// the scalar loops (for A/B runs and debugging).
   bool use_simd_force = true;
   /// Executor for the slave force path. In campaign service mode many
-  /// concurrent jobs point at ONE pool and interleave epochs on it; nullptr
-  /// makes the simulation own a private pool. Not owned; must outlive run().
+  /// concurrent jobs point at ONE pool and interleave epochs on it. nullptr
+  /// gives each rank a private pool (one core group per rank), sized from
+  /// the thread budget: max(1, hardware_concurrency / nranks) OS threads.
+  /// Not owned; must outlive run().
   sw::SlaveCorePool* slave_pool = nullptr;
 };
 

@@ -266,6 +266,21 @@ std::string_view to_string(Verdict v) {
   return "?";
 }
 
+std::vector<std::string> env_mismatches(const BenchEnv& baseline,
+                                        const BenchEnv& candidate) {
+  std::vector<std::string> out;
+  const auto check = [&](const char* field, const std::string& b,
+                         const std::string& c) {
+    if (b != c) out.push_back(std::string(field) + " " + b + " vs " + c);
+  };
+  check("hardware_threads", std::to_string(baseline.hardware_threads),
+        std::to_string(candidate.hardware_threads));
+  check("compiler", baseline.compiler, candidate.compiler);
+  check("flags", baseline.flags, candidate.flags);
+  check("build_type", baseline.build_type, candidate.build_type);
+  return out;
+}
+
 Verdict DiffReport::overall() const {
   Verdict worst = Verdict::Pass;
   for (const auto& m : metrics) {

@@ -121,4 +121,10 @@ DiffReport diff_reports(const BenchReport& baseline, const BenchReport& candidat
 /// Human-readable verdict table (one line per metric + overall).
 void write_diff_text(std::ostream& os, const DiffReport& diff);
 
+/// Environment fields that make two reports hard to compare, one entry per
+/// differing field as "<field> <baseline> vs <candidate>": hardware_threads,
+/// compiler, flags and build_type (git_sha and timestamp always differ).
+std::vector<std::string> env_mismatches(const BenchEnv& baseline,
+                                        const BenchEnv& candidate);
+
 }  // namespace mmd::perf

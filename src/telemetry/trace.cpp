@@ -40,7 +40,9 @@ void Tracer::attach_calling_thread(int rank, int lane) {
       auto t = std::make_unique<Track>();
       t->rank = rank;
       t->lane = lane;
-      t->ring.resize(capacity_);
+      // Reserve, do not fill: most lanes record far fewer spans than the
+      // capacity, and untouched pages never become resident.
+      t->ring.reserve(capacity_);
       tracks_[idx] = std::move(t);
     }
   }
@@ -63,7 +65,11 @@ void Tracer::record(const TrackId& id, const TraceEvent& ev) {
                           static_cast<std::size_t>(id.lane);
   Track* t = tracks_[idx].get();
   if (t == nullptr) return;  // never attached
-  t->ring[t->recorded % t->ring.size()] = ev;
+  if (t->ring.size() < capacity_) {
+    t->ring.push_back(ev);  // within the reserved capacity: no allocation
+  } else {
+    t->ring[t->recorded % capacity_] = ev;
+  }
   ++t->recorded;
 }
 

@@ -29,10 +29,11 @@ struct TrackId {
 
 /// Per-rank, per-lane span recorder.
 ///
-/// Every track owns a ring buffer of TraceEvents, preallocated when a thread
-/// first attaches to the track; recording a span is a couple of stores into
-/// that ring with no locks and no allocation. The single-writer discipline
-/// mirrors comm::RankTraffic: a track is only ever written by the one thread
+/// Every track owns a ring buffer of TraceEvents, reserved (not filled) when a
+/// thread first attaches to the track; recording a span is a couple of stores
+/// into that ring with no locks and no allocation. The ring grows into its
+/// reservation as spans arrive, so resident memory follows what was recorded.
+/// The single-writer discipline mirrors comm::RankTraffic: a track is only ever written by the one thread
 /// currently attached to it (the rank's thread for lane 0, the OS thread
 /// executing that logical CPE for lanes >= 1), so readers must wait for the
 /// writers to join — exporters run after World::run() returns.
@@ -47,7 +48,7 @@ class Tracer {
   struct Track {
     int rank = 0;
     int lane = 0;
-    std::vector<TraceEvent> ring;   ///< fixed capacity, set at attach
+    std::vector<TraceEvent> ring;   ///< fills up to the capacity reserved at attach
     std::size_t recorded = 0;       ///< total events; > ring.size() => wrapped
 
     std::size_t live() const { return std::min(recorded, ring.size()); }

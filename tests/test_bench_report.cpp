@@ -188,5 +188,24 @@ TEST(BenchDiff, TextTableMentionsEveryMetric) {
   EXPECT_NE(os.str().find("overall: pass"), std::string::npos);
 }
 
+TEST(BenchDiff, EnvMismatchesNameEachDifferingField) {
+  BenchEnv base;
+  base.git_sha = "aaa";
+  base.compiler = "gcc 13.2.0";
+  base.flags = "-O3";
+  base.build_type = "Release";
+  base.hardware_threads = 1;
+  BenchEnv cand = base;
+  cand.git_sha = "bbb";  // expected to differ: not a mismatch
+  EXPECT_TRUE(env_mismatches(base, cand).empty());
+
+  cand.hardware_threads = 4;
+  cand.build_type = "Debug";
+  const std::vector<std::string> m = env_mismatches(base, cand);
+  ASSERT_EQ(m.size(), 2u);
+  EXPECT_EQ(m[0], "hardware_threads 1 vs 4");
+  EXPECT_EQ(m[1], "build_type Release vs Debug");
+}
+
 }  // namespace
 }  // namespace mmd::perf

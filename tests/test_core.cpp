@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <thread>
+
 #include "core/scenario.h"
 #include "core/simulation.h"
+#include "sunway/slave_pool.h"
+#include "telemetry/session.h"
 #include "util/key_value.h"
 
 namespace mmd::core {
@@ -177,6 +183,59 @@ TEST(Simulation, KmcStrategyDoesNotChangeOutcome) {
   EXPECT_EQ(rt.kmc_events, ro.kmc_events);
   EXPECT_EQ(rt.clusters_after_kmc.num_clusters, ro.clusters_after_kmc.num_clusters);
   EXPECT_EQ(rt.clusters_after_kmc.max_size, ro.clusters_after_kmc.max_size);
+}
+
+/// to_string() without its "(0.123 s)" wall-time parentheticals.
+std::string sans_timings(const SimulationReport& r) {
+  std::string s = to_string(r);
+  for (auto open = s.find(" ("); open != std::string::npos;
+       open = s.find(" (", open)) {
+    const auto close = s.find(" s)", open);
+    if (close == std::string::npos) break;
+    s.erase(open, close + 3 - open);
+  }
+  return s;
+}
+
+TEST(Simulation, PerRankPoolsMatchSharedExecutor) {
+  SimulationConfig cfg = tiny_config();
+  cfg.md_time_ps = 0.03;
+  cfg.kmc_cycles = 4;
+  cfg.nranks = 4;
+  cfg.use_slave_force = true;
+
+  // Own-pool mode: every rank drives its own core group, sized from the host
+  // thread budget, so no rank ever queues behind another.
+  telemetry::Session::Options opts;
+  opts.install_global = false;
+  telemetry::Session session(cfg.nranks, opts);
+  SimulationReport own;
+  {
+    telemetry::Session::ThreadScope scope(&session);
+    own = Simulation(cfg).run();
+  }
+  const double hw =
+      static_cast<double>(std::max(1u, std::thread::hardware_concurrency()));
+  const double per_rank = std::max(1.0, std::floor(hw / cfg.nranks));
+  for (int r = 0; r < cfg.nranks; ++r) {
+    const auto& gauges = session.metrics().rank(r).gauges;
+    ASSERT_EQ(gauges.count("sw.pool.os_threads"), 1u) << "rank " << r;
+    EXPECT_EQ(gauges.at("sw.pool.os_threads"), per_rank) << "rank " << r;
+    EXPECT_EQ(gauges.at("sw.pool.contended_epochs"), 0.0) << "rank " << r;
+    EXPECT_EQ(gauges.at("host.oversubscription"),
+              cfg.nranks * per_rank / hw) << "rank " << r;
+  }
+
+  // Shared-executor mode (campaign lanes): one pool serves all four ranks.
+  sw::SlaveCorePool shared;
+  cfg.slave_pool = &shared;
+  const SimulationReport pooled = Simulation(cfg).run();
+  EXPECT_GT(shared.activity().epochs, 0u);
+
+  EXPECT_EQ(sans_timings(own), sans_timings(pooled));
+  EXPECT_EQ(own.final_vacancies, pooled.final_vacancies);
+  EXPECT_EQ(own.kmc_events, pooled.kmc_events);
+  EXPECT_EQ(own.kmc_mc_time, pooled.kmc_mc_time);
 }
 
 }  // namespace

@@ -238,6 +238,22 @@ TEST(Tracer, RingWrapsAndCountsDrops) {
   EXPECT_EQ(tracer.total_dropped(), 6u);
 }
 
+TEST(Tracer, RingHoldsOnlyRecordedSpans) {
+  // A large capacity is reserved, not filled: the ring grows with the spans.
+  Tracer tracer(1, 1, 1 << 16);
+  tracer.attach_calling_thread(0, 0);
+  for (int i = 0; i < 3; ++i) {
+    MMD_TRACE_SCOPE("span");
+  }
+  Tracer::detach_calling_thread();
+
+  const Tracer::Track* t = tracer.track(0);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->ring.size(), 3u);
+  EXPECT_EQ(t->live(), 3u);
+  EXPECT_EQ(t->dropped(), 0u);
+}
+
 TEST(Tracer, OutOfRangeAttachDetaches) {
   Tracer tracer(2, 2, 16);
   tracer.attach_calling_thread(0, 0);

@@ -5,6 +5,10 @@
 //   mmd_perf_diff baseline.json candidate.json
 //   mmd_perf_diff --warn-only bench/baselines/BENCH_micro_comm.json BENCH_micro_comm.json
 //
+// Differing hardware_threads, compiler, flags or build_type print
+// "warning: env mismatch: <field> <base> vs <cand>" on stderr and in the
+// header; they never change the exit code.
+//
 // Exit codes (distinct so CI can gate on them):
 //   0  every metric passed
 //   3  at least one warning (regression between the noise gate and the fail
@@ -89,6 +93,11 @@ int main(int argc, char** argv) {
                 baseline.env.timestamp_utc.c_str(), paths[1].c_str(),
                 candidate.env.git_sha.c_str(), candidate.env.compiler.c_str(),
                 candidate.env.timestamp_utc.c_str());
+    // Not fatal: CI perf-smoke diffs against baselines from other hosts.
+    for (const std::string& m : perf::env_mismatches(baseline.env, candidate.env)) {
+      std::fprintf(stderr, "warning: env mismatch: %s\n", m.c_str());
+      std::printf("  warning: env mismatch: %s\n", m.c_str());
+    }
     const perf::DiffReport diff = perf::diff_reports(baseline, candidate, opt);
     perf::write_diff_text(std::cout, diff);
     switch (diff.overall()) {
