@@ -1,6 +1,7 @@
 #include "comm/world.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <exception>
 #include <stdexcept>
@@ -28,8 +29,28 @@ void fold_traffic(telemetry::Session& session, int rank, const RankTraffic& befo
   m.add(rank, "comm.onesided.puts", after.onesided_puts - before.onesided_puts);
   m.add(rank, "comm.onesided.bytes", after.onesided_bytes - before.onesided_bytes);
   m.add(rank, "comm.collectives", after.collectives - before.collectives);
+  m.add(rank, "comm.collectives.parked",
+        after.collectives_parked - before.collectives_parked);
   m.add(rank, "comm.wait.ns", after.wait_ns - before.wait_ns);
 }
+
+/// Collective waits spin this many `pause`s, then yield until the deadline,
+/// and only then park in the kernel. Without the yield and the deadline an
+/// oversubscribed world (more ranks than cores) burns the time slices the
+/// late ranks need: with a 430 us pause-only spin, an 8-rank allreduce on 4
+/// cores took 450 us, against 31 us when every waiter parks at once.
+constexpr int kSpinPauses = 64;
+constexpr std::chrono::microseconds kYieldWindow{50};
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+constexpr auto kMax = [](auto a, auto b) { return std::max(a, b); };
 
 /// Monotonic nanoseconds for wait-time accounting.
 std::uint64_t now_ns() {
@@ -41,7 +62,10 @@ std::uint64_t now_ns() {
 
 }  // namespace
 
-World::World(int nranks) : size_(nranks), traffic_(static_cast<std::size_t>(nranks)) {
+World::World(int nranks)
+    : size_(nranks),
+      slots_(static_cast<std::size_t>(nranks)),
+      traffic_(static_cast<std::size_t>(nranks)) {
   if (nranks <= 0) throw std::invalid_argument("World requires at least one rank");
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -218,63 +242,71 @@ Message Request::take_message() {
   return out;
 }
 
-// Generation-counted rendezvous: the first arrival of a generation runs
-// `init`, every arrival runs `combine`, the last arrival publishes and bumps
-// the generation; everyone returns `extract` under the same lock, so no rank
-// can start the next collective before all ranks have read this one.
-template <typename Init, typename Combine, typename Extract>
-auto World::rendezvous(Init init, Combine combine, Extract extract) {
-  std::unique_lock lk(rv_.m);
-  if (rv_.arrived == 0) init(rv_);
-  combine(rv_);
-  ++rv_.arrived;
-  const std::uint64_t gen = rv_.generation;
-  if (rv_.arrived == size_) {
-    rv_.result_d = rv_.acc_d;
-    rv_.result_u = rv_.acc_u;
-    rv_.arrived = 0;
-    ++rv_.generation;
-    rv_.cv.notify_all();
+// Lock-free rendezvous. A rank reads the generation before counting itself
+// in; the generation cannot move until every rank (this one included) has
+// arrived, so `gen` is the current one. The last arrival runs `last` (which
+// sees every slot: each arrival's fetch_add releases its slot write), resets
+// the counter, then publishes the bump that frees the waiters. A rank only
+// writes its slot for the next collective after it has seen the bump, so no
+// slot is overwritten while it is being reduced, and `result_` cannot be
+// republished before every rank has read it.
+template <typename Last>
+void World::rendezvous(int me, Last last) {
+  const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) == size_ - 1) {
+    last();
+    arrived_.store(0, std::memory_order_relaxed);
+    // seq_cst, not just release: notify_all skips the futex wake when it
+    // sees no parked waiter, and that check must not run ahead of the bump.
+    generation_.store(gen + 1, std::memory_order_seq_cst);
+    generation_.notify_all();
   } else {
-    rv_.cv.wait(lk, [&] { return rv_.generation != gen; });
+    await_generation(me, gen);
   }
-  return extract(rv_);
 }
 
-void World::barrier() {
-  rendezvous([](Rendezvous&) {}, [](Rendezvous&) {},
-             [](Rendezvous&) { return 0; });
+// Spin-then-park: a short pause spin catches the common case of ranks that
+// arrive within a microsecond of each other, the yield phase hands the core
+// to a late rank on an oversubscribed host, and only a wait longer than the
+// deadline pays for a futex sleep and the wake-up.
+void World::await_generation(int me, std::uint32_t gen) {
+  for (int i = 0; i < kSpinPauses; ++i) {
+    if (generation_.load(std::memory_order_acquire) != gen) return;
+    cpu_relax();
+  }
+  const auto deadline = std::chrono::steady_clock::now() + kYieldWindow;
+  while (generation_.load(std::memory_order_acquire) == gen) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ++traffic_[static_cast<std::size_t>(me)].collectives_parked;
+      generation_.wait(gen, std::memory_order_seq_cst);
+      return;
+    }
+    std::this_thread::yield();
+  }
 }
 
-double World::allreduce_sum(double x) {
-  return rendezvous([](Rendezvous& r) { r.acc_d = 0.0; },
-                    [x](Rendezvous& r) { r.acc_d += x; },
-                    [](Rendezvous& r) { return r.result_d; });
+// Every rank's contribution is folded left in RANK order, so the result is
+// the same bits on every run, whatever order the ranks arrive in.
+template <typename T, typename Op>
+T World::allreduce(int me, T x, Op op) {
+  slots_[static_cast<std::size_t>(me)].bits = std::bit_cast<std::uint64_t>(x);
+  rendezvous(me, [&] {
+    T acc = std::bit_cast<T>(slots_[0].bits);
+    for (std::size_t r = 1; r < slots_.size(); ++r) {
+      acc = op(acc, std::bit_cast<T>(slots_[r].bits));
+    }
+    result_ = std::bit_cast<std::uint64_t>(acc);
+  });
+  return std::bit_cast<T>(result_);
 }
 
-double World::allreduce_max(double x) {
-  return rendezvous([x](Rendezvous& r) { r.acc_d = x; },
-                    [x](Rendezvous& r) { r.acc_d = std::max(r.acc_d, x); },
-                    [](Rendezvous& r) { return r.result_d; });
+void World::barrier(int me) {
+  rendezvous(me, [] {});
 }
 
-std::uint64_t World::allreduce_sum_u64(std::uint64_t x) {
-  return rendezvous([](Rendezvous& r) { r.acc_u = 0; },
-                    [x](Rendezvous& r) { r.acc_u += x; },
-                    [](Rendezvous& r) { return r.result_u; });
-}
-
-std::uint64_t World::allreduce_max_u64(std::uint64_t x) {
-  return rendezvous([x](Rendezvous& r) { r.acc_u = x; },
-                    [x](Rendezvous& r) { r.acc_u = std::max(r.acc_u, x); },
-                    [](Rendezvous& r) { return r.result_u; });
-}
-
-std::shared_ptr<PutWindow> World::create_window() {
-  return rendezvous(
-      [this](Rendezvous& r) { r.window = std::make_shared<PutWindow>(size_); },
-      [](Rendezvous&) {},
-      [](Rendezvous& r) { return r.window; });
+std::shared_ptr<PutWindow> World::create_window(int me) {
+  rendezvous(me, [this] { window_ = std::make_shared<PutWindow>(size_); });
+  return window_;
 }
 
 void Comm::send_bytes(int dst, int tag, std::span<const std::byte> data) {
@@ -434,39 +466,41 @@ auto record_collective(telemetry::CommRecorder* rec, int rank,
 void Comm::barrier() {
   ++my_traffic().collectives;
   record_collective(rec_, rank_, 0, [&] {
-    world_->barrier();
+    world_->barrier(rank_);
     return 0;
   });
 }
 
 double Comm::allreduce_sum(double x) {
   ++my_traffic().collectives;
-  return record_collective(rec_, rank_, sizeof(double),
-                           [&] { return world_->allreduce_sum(x); });
+  return record_collective(rec_, rank_, sizeof(double), [&] {
+    return world_->allreduce(rank_, x, std::plus<>{});
+  });
 }
 
 double Comm::allreduce_max(double x) {
   ++my_traffic().collectives;
   return record_collective(rec_, rank_, sizeof(double),
-                           [&] { return world_->allreduce_max(x); });
+                           [&] { return world_->allreduce(rank_, x, kMax); });
 }
 
 std::uint64_t Comm::allreduce_sum_u64(std::uint64_t x) {
   ++my_traffic().collectives;
-  return record_collective(rec_, rank_, sizeof(std::uint64_t),
-                           [&] { return world_->allreduce_sum_u64(x); });
+  return record_collective(rec_, rank_, sizeof(std::uint64_t), [&] {
+    return world_->allreduce(rank_, x, std::plus<>{});
+  });
 }
 
 std::uint64_t Comm::allreduce_max_u64(std::uint64_t x) {
   ++my_traffic().collectives;
   return record_collective(rec_, rank_, sizeof(std::uint64_t),
-                           [&] { return world_->allreduce_max_u64(x); });
+                           [&] { return world_->allreduce(rank_, x, kMax); });
 }
 
 std::shared_ptr<PutWindow> Comm::create_window() {
   ++my_traffic().collectives;
   return record_collective(rec_, rank_, 0,
-                           [&] { return world_->create_window(); });
+                           [&] { return world_->create_window(rank_); });
 }
 
 void Comm::note_put(int target, std::size_t bytes) {

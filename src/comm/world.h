@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -31,6 +32,9 @@ struct RankTraffic {
   std::uint64_t onesided_puts = 0;
   std::uint64_t onesided_bytes = 0;
   std::uint64_t collectives = 0;
+  /// Collective waits that outlasted the spin and yield phases and parked
+  /// in the kernel (host-dependent, like wait_ns).
+  std::uint64_t collectives_parked = 0;
   std::uint64_t wait_ns = 0;  ///< time blocked in wait/wait_all/wait_any
 
   RankTraffic& operator+=(const RankTraffic& o) {
@@ -39,6 +43,7 @@ struct RankTraffic {
     onesided_puts += o.onesided_puts;
     onesided_bytes += o.onesided_bytes;
     collectives += o.collectives;
+    collectives_parked += o.collectives_parked;
     wait_ns += o.wait_ns;
     return *this;
   }
@@ -167,32 +172,32 @@ class World {
   bool request_test(int me, const Request& r);
   std::size_t request_wait_any(int me, std::span<Request> rs);
 
-  // --- collectives (single generation-counted rendezvous) ---
-  struct Rendezvous {
-    std::mutex m;
-    std::condition_variable cv;
-    int arrived = 0;
-    std::uint64_t generation = 0;
-    double acc_d = 0.0;
-    std::uint64_t acc_u = 0;
-    double result_d = 0.0;
-    std::uint64_t result_u = 0;
-    std::shared_ptr<PutWindow> window;
+  // --- collectives (me = calling rank) ---
+  // Lock-free rendezvous: each rank publishes its contribution in its own
+  // slot and counts itself in with one fetch_add; the last arrival reduces
+  // the slots in rank order, publishes `result_` and bumps `generation_`,
+  // which the other ranks spin, yield and finally park on.
+  void barrier(int me);
+  template <typename T, typename Op>
+  T allreduce(int me, T x, Op op);
+  std::shared_ptr<PutWindow> create_window(int me);
+
+  template <typename Last>
+  void rendezvous(int me, Last last);
+  void await_generation(int me, std::uint32_t gen);
+
+  static constexpr std::size_t kCacheLine = 64;
+  struct alignas(kCacheLine) Slot {
+    std::uint64_t bits = 0;
   };
-
-  void barrier();
-  double allreduce_sum(double x);
-  double allreduce_max(double x);
-  std::uint64_t allreduce_sum_u64(std::uint64_t x);
-  std::uint64_t allreduce_max_u64(std::uint64_t x);
-  std::shared_ptr<PutWindow> create_window();
-
-  template <typename Init, typename Combine, typename Extract>
-  auto rendezvous(Init init, Combine combine, Extract extract);
 
   int size_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  Rendezvous rv_;
+  std::vector<Slot> slots_;
+  alignas(kCacheLine) std::atomic<int> arrived_{0};
+  alignas(kCacheLine) std::atomic<std::uint32_t> generation_{0};
+  std::uint64_t result_ = 0;  ///< written by the last arrival before the bump
+  std::shared_ptr<PutWindow> window_;
   std::vector<RankTraffic> traffic_;
 };
 

@@ -75,8 +75,12 @@ SimulationAssets Simulation::build_assets(const SimulationConfig& cfg) {
   SimulationAssets assets;
   assets.md_tables = std::make_shared<const pot::EamTableSet>(
       pot::EamTableSet::build(model, cfg.md.table_segments));
-  assets.kmc_tables = std::make_shared<const pot::EamTableSet>(
-      pot::EamTableSet::build(model, cfg.kmc_table_segments));
+  // Equal resolutions need one build: the sets are immutable and shared.
+  assets.kmc_tables =
+      cfg.kmc_table_segments == cfg.md.table_segments
+          ? assets.md_tables
+          : std::make_shared<const pot::EamTableSet>(
+                pot::EamTableSet::build(model, cfg.kmc_table_segments));
   return assets;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "comm/world.h"
+#include "telemetry/session.h"
 
 namespace mmd::comm {
 namespace {
@@ -141,14 +143,35 @@ TEST_P(CommCollectives, AllreduceMax) {
 }
 
 TEST_P(CommCollectives, RepeatedCollectivesDoNotInterleave) {
+  // Back-to-back collectives of every kind with checked results. Every
+  // 500th iteration one rank arrives a millisecond late, so the others run
+  // through the spin and yield phases and park; a lost wake-up hangs here
+  // (ctest's TIMEOUT turns that into a failure).
   const int n = GetParam();
   World w(n);
+  std::atomic<int> wrong{0};
   w.run([&](Comm& c) {
-    for (int i = 0; i < 50; ++i) {
-      const auto s = c.allreduce_sum_u64(static_cast<std::uint64_t>(i));
-      ASSERT_EQ(s, static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(n));
+    const int r = c.rank();
+    for (int i = 0; i < 2000; ++i) {
+      if (i % 500 == 499 && r == (i / 500) % n) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      const auto iu = static_cast<std::uint64_t>(i);
+      const auto nu = static_cast<std::uint64_t>(n);
+      c.barrier();
+      const double sum = c.allreduce_sum(static_cast<double>(r + i));
+      const double max = c.allreduce_max(static_cast<double>(r + i));
+      const std::uint64_t sum_u = c.allreduce_sum_u64(iu);
+      const std::uint64_t max_u =
+          c.allreduce_max_u64(static_cast<std::uint64_t>(r) * iu);
+      if (sum != static_cast<double>(n * i + n * (n - 1) / 2) ||
+          max != static_cast<double>(n - 1 + i) || sum_u != iu * nu ||
+          max_u != (nu - 1) * iu) {
+        wrong.fetch_add(1);
+      }
     }
   });
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST_P(CommCollectives, BarrierSynchronizes) {
@@ -164,8 +187,56 @@ TEST_P(CommCollectives, BarrierSynchronizes) {
   EXPECT_TRUE(ok.load());
 }
 
+// 16 ranks oversubscribe a 4-core host four times over.
 INSTANTIATE_TEST_SUITE_P(RankCounts, CommCollectives,
-                         ::testing::Values(1, 2, 3, 4, 8));
+                         ::testing::Values(1, 2, 3, 4, 8, 16));
+
+TEST(Comm, AllreduceSumFoldsInRankOrderWhateverTheArrivalOrder) {
+  // Rank order and reverse order round these to different doubles; ranks
+  // arrive in reverse order, and every rank must still get the rank-order
+  // left fold, bit for bit.
+  const std::vector<double> x{1e16, 1.0, -1e16, 1.0};
+  const int n = static_cast<int>(x.size());
+  double rank_order = x.front();
+  for (std::size_t r = 1; r < x.size(); ++r) rank_order += x[r];
+  double reverse_order = x.back();
+  for (std::size_t r = x.size() - 1; r-- > 0;) reverse_order += x[r];
+  ASSERT_NE(std::bit_cast<std::uint64_t>(rank_order),
+            std::bit_cast<std::uint64_t>(reverse_order));
+
+  World w(n);
+  std::vector<std::uint64_t> got(x.size());
+  w.run([&](Comm& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    std::this_thread::sleep_for(std::chrono::milliseconds(30 * (n - 1 - c.rank())));
+    got[r] = std::bit_cast<std::uint64_t>(c.allreduce_sum(x[r]));
+  });
+  for (const std::uint64_t bits : got) {
+    EXPECT_EQ(bits, std::bit_cast<std::uint64_t>(rank_order));
+  }
+}
+
+TEST(World, LongCollectiveWaitsParkAndAreCounted) {
+  // Rank 0 arrives 50 ms after the others have started: ranks 1-3 outlast
+  // the spin and yield phases and park; rank 0, the last arrival, never
+  // waits.
+  telemetry::Session session(4);
+  World w(4);
+  std::atomic<int> started{0};
+  w.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      while (started.load() < 3) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    } else {
+      started.fetch_add(1);
+    }
+    c.barrier();
+  });
+  EXPECT_EQ(w.traffic(0).collectives_parked, 0u);
+  for (int r = 1; r < 4; ++r) EXPECT_GE(w.traffic(r).collectives_parked, 1u);
+  EXPECT_EQ(session.metrics().aggregate().counter("comm.collectives.parked"),
+            w.total_traffic().collectives_parked);
+}
 
 TEST(Comm, WindowPutAndDrain) {
   World w(3);

@@ -89,6 +89,15 @@ SimulationConfig tiny_config() {
   return cfg;
 }
 
+TEST(Simulation, BuildAssetsSharesOneSetWhenResolutionsAgree) {
+  SimulationConfig cfg = tiny_config();
+  const auto split = Simulation::build_assets(cfg);
+  EXPECT_NE(split.md_tables.get(), split.kmc_tables.get());
+  cfg.kmc_table_segments = cfg.md.table_segments;
+  const auto shared = Simulation::build_assets(cfg);
+  EXPECT_EQ(shared.md_tables.get(), shared.kmc_tables.get());
+}
+
 TEST(Simulation, EndToEndProducesDefectsAndEvolvesThem) {
   Simulation sim(tiny_config());
   const SimulationReport r = sim.run();
