@@ -3,6 +3,8 @@
 // fused-sweep kernel optimizes. One metric per force path (fused single-sweep
 // vs the two-pass pair/density reference shape) so mmd_perf_diff can track
 // the whole-step win, plus the force-phase DMA get traffic that drives it.
+// The `reference` shape runs the same step with no slave kernel attached:
+// the master-core ReferenceForce path that accel=reference runs.
 //
 // Config notes: 12^3 cells (3456 atoms) keeps a timed step near a
 // millisecond; table_segments=1500 gives two 12 KB compact tables so the
@@ -23,7 +25,8 @@
 using namespace mmd;
 
 int main() {
-  bench::title("BENCH_md_step", "end-to-end MD step, slave-core force path");
+  bench::title("BENCH_md_step",
+               "end-to-end MD step, slave-core and reference force paths");
   bench::BenchHarness h("md_step");
 
   md::MdConfig cfg;
@@ -47,6 +50,17 @@ int main() {
 
   const int warm = std::max(1, h.options().warmup);
   const int reps = h.options().repeats;
+  // Wall time of `reps` single steps of an initialized, warmed engine.
+  auto time_steps = [&](md::MdEngine& engine, comm::Comm& comm) {
+    std::vector<double> wall_ms;
+    wall_ms.reserve(static_cast<std::size_t>(reps));
+    for (int r = 0; r < reps; ++r) {
+      util::Timer t;
+      engine.run(comm, 1);
+      wall_ms.push_back(1e3 * t.elapsed());
+    }
+    return wall_ms;
+  };
 
   comm::World world(1);
   world.run([&](comm::Comm& comm) {
@@ -72,14 +86,8 @@ int main() {
       engine.initialize(comm);
       engine.run(comm, warm);
 
-      std::vector<double> wall_ms;
-      wall_ms.reserve(static_cast<std::size_t>(reps));
       kernel.reset_stats();
-      for (int r = 0; r < reps; ++r) {
-        util::Timer t;
-        engine.run(comm, 1);
-        wall_ms.push_back(1e3 * t.elapsed());
-      }
+      const std::vector<double> wall_ms = time_steps(engine, comm);
       const sw::DmaStats dma = kernel.dma_stats();
       const std::string key(mode.key);
       h.add_samples(key + "_step_ms", "ms", wall_ms);
@@ -92,6 +100,15 @@ int main() {
       bench::note("%-8s median %.3f ms/step, %.2f MB DMA-get/step",
                   mode.key, util::median(wall_ms),
                   static_cast<double>(dma.get_bytes) / reps / 1e6);
+    }
+    {
+      md::MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
+      engine.initialize(comm);
+      engine.run(comm, warm);
+      const std::vector<double> wall_ms = time_steps(engine, comm);
+      h.add_samples("reference_step_ms", "ms", wall_ms);
+      bench::note("%-8s median %.3f ms/step (master-core force)", "reference",
+                  util::median(wall_ms));
     }
   });
 
@@ -113,7 +130,6 @@ int main() {
     telemetry::Session session(1, opt);
     comm::World traced_world(1);
     std::vector<double> wall_ms;
-    wall_ms.reserve(static_cast<std::size_t>(reps));
     traced_world.run([&](comm::Comm& comm) {
       md::MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
       sw::SlaveCorePool pool(64);
@@ -122,11 +138,7 @@ int main() {
       engine.use_slave_kernel(&kernel);
       engine.initialize(comm);
       engine.run(comm, warm);
-      for (int r = 0; r < reps; ++r) {
-        util::Timer t;
-        engine.run(comm, 1);
-        wall_ms.push_back(1e3 * t.elapsed());
-      }
+      wall_ms = time_steps(engine, comm);
     });
     h.add_samples(std::string(kTraced[i].key) + "_step_ms", "ms", wall_ms);
     traced_median[i] = util::median(wall_ms);

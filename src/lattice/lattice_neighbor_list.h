@@ -17,6 +17,10 @@ struct ParticleView {
   Species type;
   double rho;
   std::int64_t id;
+  /// Index of the particle in a per-particle plane of
+  /// LatticeNeighborList::particle_slots() values: entry i at slot i,
+  /// run-away node ri at runaway_slot(ri).
+  std::size_t slot;
 };
 
 /// The paper's dedicated data structure for BCC metals (§2.1.1):
@@ -119,7 +123,7 @@ class LatticeNeighborList {
     const RunawayAtom& self = runaways_[static_cast<std::size_t>(ri)];
     const AtomEntry& host = entries_[host_idx];
     if (host.is_atom()) {
-      f(ParticleView{host.r, host.type, host.rho, host.id});
+      f(ParticleView{host.r, host.type, host.rho, host.id, host_idx});
     }
     visit_region(host_idx, self.id, f);
   }
@@ -129,6 +133,13 @@ class LatticeNeighborList {
   RunawayAtom& runaway(std::int32_t i) { return runaways_[static_cast<std::size_t>(i)]; }
   const RunawayAtom& runaway(std::int32_t i) const {
     return runaways_[static_cast<std::size_t>(i)];
+  }
+
+  /// Size of a per-particle plane indexed by ParticleView::slot: one slot
+  /// per entry, then one per run-away pool node (live or free).
+  std::size_t particle_slots() const { return entries_.size() + runaways_.size(); }
+  std::size_t runaway_slot(std::int32_t ri) const {
+    return entries_.size() + static_cast<std::size_t>(ri);
   }
 
   /// Allocate a run-away node and push it onto the chain of `host_idx`.
@@ -198,7 +209,7 @@ class LatticeNeighborList {
       const std::size_t n = idx + static_cast<std::size_t>(d);
       const AtomEntry& e = entries_[n];
       if (e.is_atom() && e.id != self_id) {
-        f(ParticleView{e.r, e.type, e.rho, e.id});
+        f(ParticleView{e.r, e.type, e.rho, e.id, n});
       }
       visit_chain(e.runaway_head, self_id, f);
     }
@@ -210,7 +221,9 @@ class LatticeNeighborList {
     for (std::int32_t ri = head; ri != AtomEntry::kNoRunaway;
          ri = runaways_[static_cast<std::size_t>(ri)].next) {
       const RunawayAtom& a = runaways_[static_cast<std::size_t>(ri)];
-      if (a.id != self_id) f(ParticleView{a.r, a.type, a.rho, a.id});
+      if (a.id != self_id) {
+        f(ParticleView{a.r, a.type, a.rho, a.id, runaway_slot(ri)});
+      }
     }
   }
 

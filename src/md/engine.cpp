@@ -209,15 +209,19 @@ void MdEngine::detach_and_rehome(comm::Comm& comm) {
 
 void MdEngine::compute_all_forces(comm::Comm& comm) {
   // Ghost positions were refreshed by detach_and_rehome (or by initialize /
-  // inject_pka); here: rho pass, rho exchange, force pass.
+  // inject_pka); here: rho pass, rho exchange, force pass. Both force kernels
+  // take the same calls, and each refreshes its own F'(rho) inside them.
+  auto kernel = [&](auto&& call) {
+    if (slave_ != nullptr) {
+      call(*slave_);
+    } else {
+      call(ref_force_);
+    }
+  };
   comp_.start();
   {
     MMD_TRACE_SCOPE("md.force.rho");
-    if (slave_ != nullptr) {
-      slave_->compute_rho(lnl_);
-    } else {
-      ref_force_.compute_rho(lnl_);
-    }
+    kernel([&](auto& k) { k.compute_rho(lnl_); });
   }
   comp_.stop();
 
@@ -233,11 +237,7 @@ void MdEngine::compute_all_forces(comm::Comm& comm) {
     comp_.start();
     {
       MMD_TRACE_SCOPE("md.force.eam");
-      if (slave_ != nullptr) {
-        slave_->compute_forces(lnl_);
-      } else {
-        ref_force_.compute_forces(lnl_);
-      }
+      kernel([&](auto& k) { k.compute_forces(lnl_); });
     }
     comp_.stop();
     return;
@@ -257,11 +257,7 @@ void MdEngine::compute_all_forces(comm::Comm& comm) {
   comp_.start();
   {
     MMD_TRACE_SCOPE("md.force.eam.interior");
-    if (slave_ != nullptr) {
-      slave_->compute_forces_interior(lnl_);
-    } else {
-      ref_force_.compute_entry_forces(lnl_, lnl_.owned_interior_indices());
-    }
+    kernel([&](auto& k) { k.compute_forces_interior(lnl_); });
   }
   comp_.stop();
   comm_time_.start();
@@ -273,12 +269,7 @@ void MdEngine::compute_all_forces(comm::Comm& comm) {
   comp_.start();
   {
     MMD_TRACE_SCOPE("md.force.eam");
-    if (slave_ != nullptr) {
-      slave_->compute_forces_boundary(lnl_);
-    } else {
-      ref_force_.compute_entry_forces(lnl_, lnl_.owned_boundary_indices());
-      ref_force_.compute_runaway_forces(lnl_);
-    }
+    kernel([&](auto& k) { k.compute_forces_boundary(lnl_); });
   }
   comp_.stop();
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "lattice/lattice_neighbor_list.h"
 #include "potential/eam.h"
@@ -17,6 +18,11 @@ namespace mmd::md {
 ///   pass 2: F_i  += [phi'(r) + (F'(rho_i) + F'(rho_j)) f'(r)] * d_hat
 /// Forces are written for owned lattice atoms and owned run-away atoms; ghost
 /// entries are read-only.
+///
+/// Pass 2 reads F'(rho) from a per-particle plane indexed by
+/// lat::ParticleView::slot, filled once per particle before the pair loop
+/// (not once per pair), and takes phi' and f' of a pair from one shared
+/// table window (pot::EamTableSet::PairTables::derivatives).
 class ReferenceForce {
  public:
   explicit ReferenceForce(const pot::EamTableSet& tables) : tables_(&tables) {}
@@ -26,34 +32,39 @@ class ReferenceForce {
 
   /// Pass 2: forces on every owned atom. Requires rho valid on owned AND
   /// ghost entries (run exchange_rho between passes in parallel runs).
-  void compute_forces(lat::LatticeNeighborList& lnl) const;
+  void compute_forces(lat::LatticeNeighborList& lnl);
 
-  /// Pass 2 restricted to the given lattice entries. Used by the overlap
-  /// split: interior entries (lnl.owned_interior_indices()) only read owned
-  /// rho, so they can be computed while the rho exchange is in flight;
-  /// boundary entries follow after it completes. Per-entry force is a plain
-  /// assignment, so any partition of owned_indices() reproduces
-  /// compute_forces exactly.
-  void compute_entry_forces(lat::LatticeNeighborList& lnl,
-                            std::span<const std::size_t> indices) const;
-
-  /// Pass 2 for the owned run-away atoms (their stencils may reach ghost
-  /// chains anywhere in the halo: requires the completed rho exchange).
-  void compute_runaway_forces(lat::LatticeNeighborList& lnl) const;
+  /// Overlap split of compute_forces, bit-identical to the unsplit call.
+  /// compute_forces_interior refreshes only OWNED F'(rho) and computes the
+  /// interior entries (lnl.owned_interior_indices()), whose stencils never
+  /// read ghost storage, so it may run while the rho ghost exchange is still
+  /// in flight. compute_forces_boundary must run after the exchange
+  /// completes: it refreshes ghost F'(rho) (entries and their run-away
+  /// chains), then computes the boundary entries and the owned run-aways.
+  /// Always call interior first, then boundary; per-particle force is a
+  /// plain assignment, so the split reproduces compute_forces exactly.
+  void compute_forces_interior(lat::LatticeNeighborList& lnl);
+  void compute_forces_boundary(lat::LatticeNeighborList& lnl);
 
   /// Potential energy attributed to this rank's owned atoms:
   /// sum_i [ F(rho_i) + 1/2 sum_j phi(r_ij) ].
   double potential_energy(const lat::LatticeNeighborList& lnl) const;
 
-  /// Embedding derivative F'(rho) for a species, via the tables.
-  double fprime(int species, double rho) const {
-    return tables_->embed_of(species).derivative(rho);
-  }
-
   const pot::EamTableSet& tables() const { return *tables_; }
 
  private:
+  /// F'(rho) of owned entries and owned run-aways (final after compute_rho).
+  void refresh_fprime_owned(const lat::LatticeNeighborList& lnl);
+  /// F'(rho) of ghost entries and the run-aways chained to them (valid only
+  /// after the rho exchange).
+  void refresh_fprime_ghosts(const lat::LatticeNeighborList& lnl);
+
+  void entry_forces(lat::LatticeNeighborList& lnl,
+                    std::span<const std::size_t> indices) const;
+  void runaway_forces(lat::LatticeNeighborList& lnl) const;
+
   const pot::EamTableSet* tables_;
+  std::vector<double> fprime_;  ///< F'(rho) per particle slot
 };
 
 }  // namespace mmd::md

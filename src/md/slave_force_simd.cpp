@@ -2,6 +2,7 @@
 // only one compiled with -mavx2 -mfma (see src/md/CMakeLists.txt); when the
 // toolchain cannot target AVX2 the stubs at the bottom compile instead and
 // simd_available() reports false, so the sweep driver keeps its scalar path.
+// It must not include potential/spline.h (checked at the end of the file).
 //
 // Numerical contract (what the tests pin down):
 //  - Per-atom results are lane-position independent: every lane runs the
@@ -263,4 +264,12 @@ void simd_fused_block(const BlockArgs&, const SimdTable&, const SimdTable&,
 
 }  // namespace mmd::md::detail
 
+#endif
+
+// potential/spline.h defines the compact-table evaluators inline. Included
+// here, they would be compiled with -mfma into a contracted copy that the
+// linker may keep for every caller, so reference-path bits would depend on
+// link order. Checked after every #include above.
+#ifdef MMD_POTENTIAL_SPLINE_H
+#error "slave_force_simd.cpp is built with -mfma and must not include potential/spline.h"
 #endif

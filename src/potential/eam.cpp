@@ -171,12 +171,6 @@ EamTableSet EamTableSet::build(const EamModel& model, int segments) {
   return t;
 }
 
-std::size_t EamTableSet::pair_index(int si, int sj) const {
-  auto lo = static_cast<std::size_t>(std::min(si, sj));
-  auto hi = static_cast<std::size_t>(std::max(si, sj));
-  return hi * (hi + 1) / 2 + lo;
-}
-
 std::size_t EamTableSet::compact_bytes() const {
   std::size_t b = 0;
   for (const auto& p : pairs) b += p.phi.bytes() + p.f.bytes();

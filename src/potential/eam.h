@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -98,6 +100,27 @@ struct EamTableSet {
   struct PairTables {
     CompactTable phi;
     CompactTable f;
+
+    /// phi'(r) and f'(r) from ONE segment lookup. Relies on the shared-grid
+    /// invariant: build() and tables_from_setfl() sample a pair's phi and f
+    /// on the same (r_min, cutoff, segments) grid, so one segment index, one
+    /// parameter t and one set of clamped window indices serve both tables.
+    /// Each result equals that table's own derivative(r) bit for bit in
+    /// builds that do not contract a*b+c into FMA (the default x86-64
+    /// target).
+    void derivatives(double r, double* dphi, double* df) const {
+      const std::int64_t i = phi.segment_of(r);
+      std::int64_t idx[6];
+      CompactTable::window_indices(i, phi.num_samples(), idx);
+      double wphi[6], wf[6];
+      for (int k = 0; k < 6; ++k) {
+        wphi[k] = phi.samples()[idx[k]];
+        wf[k] = f.samples()[idx[k]];
+      }
+      const double t = phi.param(r, static_cast<int>(i));
+      CompactTable::eval_window(wphi, t, phi.dx(), nullptr, dphi);
+      CompactTable::eval_window(wf, t, phi.dx(), nullptr, df);
+    }
   };
   std::vector<PairTables> pairs;   ///< indexed by symmetric pair index
   std::vector<CompactTable> embed; ///< per species
@@ -111,11 +134,16 @@ struct EamTableSet {
   static EamTableSet build(const EamModel& model,
                            int segments = CoefficientTable::kDefaultSegments);
 
-  std::size_t pair_index(int si, int sj) const;
+  std::size_t pair_index(int si, int sj) const {
+    auto lo = static_cast<std::size_t>(std::min(si, sj));
+    auto hi = static_cast<std::size_t>(std::max(si, sj));
+    return hi * (hi + 1) / 2 + lo;
+  }
   std::size_t compact_bytes() const;
 
-  const CompactTable& phi(int si, int sj) const { return pairs[pair_index(si, sj)].phi; }
-  const CompactTable& f(int si, int sj) const { return pairs[pair_index(si, sj)].f; }
+  const PairTables& pair(int si, int sj) const { return pairs[pair_index(si, sj)]; }
+  const CompactTable& phi(int si, int sj) const { return pair(si, sj).phi; }
+  const CompactTable& f(int si, int sj) const { return pair(si, sj).f; }
   const CompactTable& embed_of(int s) const { return embed[static_cast<std::size_t>(s)]; }
 };
 

@@ -16,19 +16,6 @@ double node_derivative(const double* s, std::int64_t n, std::int64_t i) {
   return (at(i - 2) - at(i + 2) + 8.0 * (at(i + 1) - at(i - 1))) / 12.0;
 }
 
-double value(double s0, double s1, double d0, double d1, double t) {
-  const double t2 = t * t;
-  const double t3 = t2 * t;
-  return (2.0 * t3 - 3.0 * t2 + 1.0) * s0 + (t3 - 2.0 * t2 + t) * d0 +
-         (-2.0 * t3 + 3.0 * t2) * s1 + (t3 - t2) * d1;
-}
-
-double deriv_t(double s0, double s1, double d0, double d1, double t) {
-  const double t2 = t * t;
-  return (6.0 * t2 - 6.0 * t) * s0 + (3.0 * t2 - 4.0 * t + 1.0) * d0 +
-         (-6.0 * t2 + 6.0 * t) * s1 + (3.0 * t2 - 2.0 * t) * d1;
-}
-
 }  // namespace hermite
 
 namespace {
@@ -84,54 +71,6 @@ CompactTable CompactTable::build(const std::function<double(double)>& f,
   t.dx_ = (x_max - x_min) / segments;
   t.samples_ = sample(f, x_min, x_max, segments);
   return t;
-}
-
-int CompactTable::segment_of(double x) const {
-  const int i = static_cast<int>((x - x_min_) / dx_);
-  return std::clamp(i, 0, segments() - 1);
-}
-
-void CompactTable::window_indices(std::int64_t i, std::int64_t num_samples,
-                                  std::int64_t out[6]) {
-  for (std::int64_t k = 0; k < 6; ++k) {
-    out[k] = std::clamp<std::int64_t>(i - 2 + k, 0, num_samples - 1);
-  }
-}
-
-void CompactTable::eval_window(const double window[6], double t, double dx,
-                               double* value, double* derivative) {
-  // window nominal layout: [i-2, i-1, i, i+1, i+2, i+3] (edge-clamped).
-  // Node derivatives at i and i+1 from the paper's 5-point stencil.
-  const double d0 =
-      (window[0] - window[4] + 8.0 * (window[3] - window[1])) / 12.0;
-  const double d1 =
-      (window[1] - window[5] + 8.0 * (window[4] - window[2])) / 12.0;
-  if (value) *value = hermite::value(window[2], window[3], d0, d1, t);
-  if (derivative) {
-    *derivative = hermite::deriv_t(window[2], window[3], d0, d1, t) / dx;
-  }
-}
-
-double CompactTable::value(double x) const {
-  double v;
-  eval(x, &v, nullptr);
-  return v;
-}
-
-double CompactTable::derivative(double x) const {
-  double d;
-  eval(x, nullptr, &d);
-  return d;
-}
-
-void CompactTable::eval(double x, double* value, double* derivative) const {
-  const std::int64_t i = segment_of(x);
-  const std::int64_t n = num_samples();
-  std::int64_t idx[6];
-  window_indices(i, n, idx);
-  double w[6];
-  for (int k = 0; k < 6; ++k) w[k] = samples_[static_cast<std::size_t>(idx[k])];
-  eval_window(w, param(x, static_cast<int>(i)), dx_, value, derivative);
 }
 
 CoefficientTable CompactTable::to_coefficients() const {

@@ -1,5 +1,13 @@
 #pragma once
 
+// The table evaluators below are defined inline, so every translation unit
+// that includes this header compiles its own copy and the linker keeps one of
+// them for all callers. A copy compiled with -mfma would contract a*b+c into
+// FMA and change the bits of every caller, so such a unit must not include
+// this header; src/md/slave_force_simd.cpp #errors on this marker.
+#define MMD_POTENTIAL_SPLINE_H 1
+
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -20,10 +28,19 @@ namespace hermite {
 double node_derivative(const double* s, std::int64_t n, std::int64_t i);
 
 /// Evaluate the Hermite cubic of segment [i, i+1] at parameter t in [0,1].
-double value(double s0, double s1, double d0, double d1, double t);
+inline double value(double s0, double s1, double d0, double d1, double t) {
+  const double t2 = t * t;
+  const double t3 = t2 * t;
+  return (2.0 * t3 - 3.0 * t2 + 1.0) * s0 + (t3 - 2.0 * t2 + t) * d0 +
+         (-2.0 * t3 + 3.0 * t2) * s1 + (t3 - t2) * d1;
+}
 
 /// Derivative with respect to t of the same cubic.
-double deriv_t(double s0, double s1, double d0, double d1, double t);
+inline double deriv_t(double s0, double s1, double d0, double d1, double t) {
+  const double t2 = t * t;
+  return (6.0 * t2 - 6.0 * t) * s0 + (3.0 * t2 - 4.0 * t + 1.0) * d0 +
+         (-6.0 * t2 + 6.0 * t) * s1 + (3.0 * t2 - 2.0 * t) * d1;
+}
 
 }  // namespace hermite
 
@@ -81,6 +98,9 @@ class CoefficientTable {
 /// Coefficients are reconstructed on the fly from a 6-sample window using the
 /// same stencil, trading a little extra arithmetic for far fewer DMA
 /// transfers (paper §2.1.2).
+///
+/// The evaluators are inline: force and rate kernels call them per pair, and
+/// an out-of-line call per lookup cost about as much as the arithmetic.
 class CompactTable {
  public:
   static CompactTable build(const std::function<double(double)>& f, double x_min,
@@ -92,15 +112,33 @@ class CompactTable {
   int segments() const { return static_cast<int>(samples_.size()) - 1; }
   double dx() const { return dx_; }
 
-  int segment_of(double x) const;
+  int segment_of(double x) const {
+    const int i = static_cast<int>((x - x_min_) / dx_);
+    return std::clamp(i, 0, segments() - 1);
+  }
   double param(double x, int i) const { return x / dx_ - x_min_ / dx_ - i; }
 
   const double* samples() const { return samples_.data(); }
   std::int64_t num_samples() const { return static_cast<std::int64_t>(samples_.size()); }
 
-  double value(double x) const;
-  double derivative(double x) const;
-  void eval(double x, double* value, double* derivative) const;
+  double value(double x) const {
+    double v;
+    eval(x, &v, nullptr);
+    return v;
+  }
+  double derivative(double x) const {
+    double d;
+    eval(x, nullptr, &d);
+    return d;
+  }
+  void eval(double x, double* value, double* derivative) const {
+    const std::int64_t i = segment_of(x);
+    std::int64_t idx[6];
+    window_indices(i, num_samples(), idx);
+    double w[6];
+    for (int k = 0; k < 6; ++k) w[k] = samples_[static_cast<std::size_t>(idx[k])];
+    eval_window(w, param(x, static_cast<int>(i)), dx_, value, derivative);
+  }
 
   /// Evaluate segment i from a caller-supplied window of the 6 samples with
   /// nominal indices [i-2, i+3]; at table edges the out-of-range slots must
@@ -108,11 +146,26 @@ class CompactTable {
   /// prescribes. This is the on-the-fly path used when the samples were
   /// DMA-fetched to a local store.
   static void eval_window(const double window[6], double t, double dx,
-                          double* value, double* derivative);
+                          double* value, double* derivative) {
+    // window nominal layout: [i-2, i-1, i, i+1, i+2, i+3] (edge-clamped).
+    // Node derivatives at i and i+1 from the paper's 5-point stencil.
+    const double d0 =
+        (window[0] - window[4] + 8.0 * (window[3] - window[1])) / 12.0;
+    const double d1 =
+        (window[1] - window[5] + 8.0 * (window[4] - window[2])) / 12.0;
+    if (value) *value = hermite::value(window[2], window[3], d0, d1, t);
+    if (derivative) {
+      *derivative = hermite::deriv_t(window[2], window[3], d0, d1, t) / dx;
+    }
+  }
 
   /// The 6 (clamped) sample indices needed to evaluate segment i.
   static void window_indices(std::int64_t i, std::int64_t num_samples,
-                             std::int64_t out[6]);
+                             std::int64_t out[6]) {
+    for (std::int64_t k = 0; k < 6; ++k) {
+      out[k] = std::clamp<std::int64_t>(i - 2 + k, 0, num_samples - 1);
+    }
+  }
 
   /// Expand this table into the equivalent traditional coefficient table.
   CoefficientTable to_coefficients() const;

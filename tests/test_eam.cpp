@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "potential/eam.h"
+#include "potential/setfl.h"
 
 namespace mmd::pot {
 namespace {
@@ -129,6 +132,47 @@ TEST(EamTableSet, TraditionalFormsAgreeWithCompact) {
   for (double r = 1.1; r < 5.0; r += 0.077) {
     ASSERT_NEAR(t.phi_trad.value(r), t.phi(0, 0).value(r), 1e-12);
     ASSERT_NEAR(t.f_trad.derivative(r), t.f(0, 0).derivative(r), 1e-10);
+  }
+}
+
+TEST(EamTableSet, PairTablesShareOneGrid) {
+  // PairTables::derivatives takes phi' and f' from one segment lookup, which
+  // is exact only while every pair's phi and f sit on the same grid. Pinned
+  // for both builders, and the fused lookup checked against the two
+  // separate ones across the whole domain and past its edges: bit for bit,
+  // unless the build contracts a*b+c into FMA (e.g. -march=x86-64-v3),
+  // where differently inlined call sites may round differently.
+#if defined(__FMA__)
+  constexpr double kTol = 1e-12;
+#else
+  constexpr double kTol = 0.0;
+#endif
+  auto differs = [&](double a, double b) {
+    return std::abs(a - b) > kTol * std::max(1.0, std::abs(b));
+  };
+  const EamModel fe = EamModel::iron(kA, kCut);
+  const EamModel fecu = EamModel::iron_copper(kA, kCut);
+  const std::vector<EamTableSet> sets = {
+      EamTableSet::build(fe, 5000), EamTableSet::build(fecu, 1500),
+      tables_from_setfl(setfl_from_model(fecu, {"Fe", "Cu"}, 1500, 1000), 1000)};
+  for (const EamTableSet& t : sets) {
+    for (int i = 0; i < t.num_species; ++i) {
+      for (int j = 0; j < t.num_species; ++j) {
+        const EamTableSet::PairTables& p = t.pair(i, j);
+        EXPECT_EQ(p.phi.x_min(), p.f.x_min());
+        EXPECT_EQ(p.phi.dx(), p.f.dx());
+        EXPECT_EQ(p.phi.segments(), p.f.segments());
+        int mismatches = 0;
+        for (double r = t.r_min - 0.2; r < t.cutoff + 0.2; r += 0.00731) {
+          double dphi = 0.0, df = 0.0;
+          p.derivatives(r, &dphi, &df);
+          if (differs(dphi, p.phi.derivative(r)) || differs(df, p.f.derivative(r))) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << "pair (" << i << ", " << j << ")";
+      }
+    }
   }
 }
 

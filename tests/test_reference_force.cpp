@@ -1,10 +1,14 @@
 // Deep physics checks of the EAM force engine: analytic dimer limits,
 // force-energy consistency (F = -dE/dx by finite differences), and
-// translational invariance.
+// translational invariance. Plus a bitwise oracle: the production kernel
+// (cached F'(rho) plane, one table window per pair) against a frozen
+// per-pair kernel on a multi-rank cascade.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "lattice/ghost_exchange.h"
 #include "md/engine.h"
@@ -171,6 +175,109 @@ TEST(ReferenceForce, DimerForceIsRadialAndAntisymmetric) {
     EXPECT_NEAR(fa.cross(axis).norm(), 0.0, 1e-8);
   });
 }
+
+/// Frozen per-pair EAM force kernel: phi' and f' from two separate table
+/// lookups, and the neighbour's F'(rho_j) evaluated for every pair. The
+/// production kernel caches F'(rho) per particle and shares one window
+/// between phi' and f'; both must give the same bits.
+template <typename Visit>
+util::Vec3 per_pair_force(const pot::EamTableSet& tables, const util::Vec3& r0,
+                          int t0, double rho0, Visit&& visit) {
+  const double cut2 = tables.cutoff * tables.cutoff;
+  const double r_min = tables.r_min;
+  const double fp0 = tables.embed_of(t0).derivative(rho0);
+  util::Vec3 force;
+  visit([&](const lat::ParticleView& p) {
+    const util::Vec3 d = p.r - r0;
+    const double r2 = d.norm2();
+    if (r2 > cut2 || r2 == 0.0) return;
+    const double r = std::max(std::sqrt(r2), r_min);
+    const int t1 = static_cast<int>(p.type);
+    double dphi, df;
+    tables.phi(t0, t1).eval(r, nullptr, &dphi);
+    tables.f(t0, t1).eval(r, nullptr, &df);
+    const double fp1 = tables.embed_of(t1).derivative(p.rho);
+    const double scale = (dphi + (fp0 + fp1) * df) / r;
+    force += d * scale;
+  });
+  return force;
+}
+
+class ReferenceForceOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReferenceForceOracle, CascadeForcesMatchPerPairKernelBitwise) {
+  // Two 80 eV knock-ons, one beside the centre planes where 2- and 4-rank
+  // decompositions cut the box and one beside the periodic faces, so that
+  // after a few steps run-aways exist and their ghost chains carry rho on
+  // every rank count. The engine's force on every owned entry and owned
+  // run-away must equal the frozen kernel's, evaluated on the same
+  // positions and (exchanged) rho.
+  const int nranks = GetParam();
+  MdConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 8;
+  cfg.temperature = 600.0;
+  cfg.table_segments = 2000;
+  const MdSetup setup(cfg, nranks);
+  const auto tables = pot::EamTableSet::build(
+      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), cfg.table_segments);
+  constexpr int kSteps = 40;
+
+  std::mutex m;
+  std::size_t compared = 0, mismatches = 0, runaways_compared = 0;
+  std::size_t ghost_chain_nodes = 0;
+  comm::World world(nranks);
+  world.run([&](comm::Comm& comm) {
+    MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
+    engine.initialize(comm);
+    engine.inject_pka(comm, setup.geo.site_id({3, 3, 3, 1}),
+                      util::Vec3{1.0, 0.6, 0.3}, 80.0);
+    engine.inject_pka(comm, setup.geo.site_id({7, 0, 7, 1}),
+                      util::Vec3{0.4, -1.0, 0.7}, 80.0);
+    std::size_t n = 0, bad = 0, n_runaway = 0, n_ghost_chain = 0;
+    for (int s = 0; s < kSteps; ++s) {
+      engine.step(comm);
+      const lat::LatticeNeighborList& lnl = engine.lattice();
+      for (std::size_t idx : lnl.owned_indices()) {
+        const lat::AtomEntry& e = lnl.entry(idx);
+        if (!e.is_atom()) continue;
+        const util::Vec3 f = per_pair_force(
+            tables, e.r, static_cast<int>(e.type), e.rho,
+            [&](auto&& v) { lnl.for_each_neighbor_of_entry(idx, v); });
+        ++n;
+        if (!(f == e.f)) ++bad;
+      }
+      lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t host) {
+        const lat::RunawayAtom& a = lnl.runaway(ri);
+        const util::Vec3 f = per_pair_force(
+            tables, a.r, static_cast<int>(a.type), a.rho,
+            [&](auto&& v) { lnl.for_each_neighbor_of_runaway(ri, host, v); });
+        ++n_runaway;
+        if (!(f == a.f)) ++bad;
+      });
+      for (std::size_t idx = 0; idx < lnl.size(); ++idx) {
+        if (lnl.is_owned(idx)) continue;
+        for (std::int32_t ri = lnl.entry(idx).runaway_head;
+             ri != lat::AtomEntry::kNoRunaway; ri = lnl.runaway(ri).next) {
+          if (lnl.runaway(ri).rho > 0.0) ++n_ghost_chain;
+        }
+      }
+    }
+    std::lock_guard lk(m);
+    compared += n;
+    mismatches += bad;
+    runaways_compared += n_runaway;
+    ghost_chain_nodes += n_ghost_chain;
+  });
+  EXPECT_EQ(compared, static_cast<std::size_t>(kSteps * setup.geo.num_sites()) -
+                          runaways_compared)
+      << "every atom is either an owned entry or an owned run-away";
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(runaways_compared, 0u);
+  EXPECT_GT(ghost_chain_nodes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, ReferenceForceOracle,
+                         ::testing::Values(1, 2, 4));
 
 TEST(ReferenceForce, PotentialEnergyDeterministicAcrossRuns) {
   Crystal x;

@@ -291,15 +291,17 @@ TEST(SlaveForce, FusedStaysResidentWhenBothTablesFit) {
 
 /// The overlap split (interior while the rho exchange is notionally in
 /// flight, boundary after) must reproduce the unsplit compute_forces
-/// bit-for-bit: same window walk order per entry, scatter is assignment.
+/// bit-for-bit: same neighbor walk order per entry, output is assignment.
 /// Ghost rho is POISONED during the interior phase to prove the interior
-/// sweep reads no ghost state.
-void compare_split_forces(bool fused, bool with_runaways) {
-  MdConfig cfg = accel_config();
-  Rig rig(cfg);
+/// pass reads no ghost state. Runs for both force kernels, which take the
+/// same compute_rho / compute_forces{,_interior,_boundary} calls. The split
+/// pass runs first, on a kernel that has seen no earlier pass, so a boundary
+/// call that skipped the ghost F'(rho) refresh could not borrow its values.
+template <typename Kernel>
+void compare_split_forces(const Rig& rig, Kernel& kernel, bool with_runaways) {
   comm::World world(1);
   world.run([&](comm::Comm& comm) {
-    MdEngine engine(cfg, rig.setup.geo, rig.setup.dd, rig.tables, comm.rank());
+    MdEngine engine(rig.cfg, rig.setup.geo, rig.setup.dd, rig.tables, comm.rank());
     engine.initialize(comm);
     engine.run(comm, 5);
     auto& lnl = engine.lattice();
@@ -312,52 +314,71 @@ void compare_split_forces(bool fused, bool with_runaways) {
     ghosts.exchange(comm);
     ASSERT_FALSE(lnl.owned_interior_indices().empty());
 
-    sw::SlaveCorePool pool(8);
-    SlaveForceCompute slave(rig.tables, pool, AccelStrategy::CompactedReuse);
-    slave.set_fused(fused);
-
-    // Unsplit pass.
-    slave.compute_rho(lnl);
-    ghosts.exchange_rho(comm);
-    slave.compute_forces(lnl);
-    std::vector<util::Vec3> f_full(lnl.size());
-    for (std::size_t i : lnl.owned_indices()) f_full[i] = lnl.entry(i).f;
-    std::vector<util::Vec3> fr_full;
-    lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
-      fr_full.push_back(lnl.runaway(ri).f);
-    });
-
     // Split pass: poison ghost rho before the interior sweep.
-    slave.compute_rho(lnl);
+    kernel.compute_rho(lnl);
     const lat::LocalBox& b = lnl.box();
     for (std::size_t i = 0; i < lnl.size(); ++i) {
       if (!b.owns(b.coord_of(i))) lnl.entry(i).rho = 1e300;
     }
-    slave.compute_forces_interior(lnl);
+    kernel.compute_forces_interior(lnl);
     ghosts.exchange_rho(comm);
-    slave.compute_forces_boundary(lnl);
+    kernel.compute_forces_boundary(lnl);
+    std::vector<util::Vec3> f_split(lnl.size());
+    for (std::size_t i : lnl.owned_indices()) f_split[i] = lnl.entry(i).f;
+    std::vector<util::Vec3> fr_split;
+    lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
+      fr_split.push_back(lnl.runaway(ri).f);
+    });
+    if (with_runaways) {
+      EXPECT_FALSE(fr_split.empty());
+    }
+
+    // Unsplit pass.
+    kernel.compute_rho(lnl);
+    ghosts.exchange_rho(comm);
+    kernel.compute_forces(lnl);
 
     for (std::size_t i : lnl.owned_indices()) {
-      ASSERT_EQ(lnl.entry(i).f, f_full[i]) << "entry " << i;
+      ASSERT_EQ(lnl.entry(i).f, f_split[i]) << "entry " << i;
     }
     std::size_t k = 0;
     lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
-      ASSERT_EQ(lnl.runaway(ri).f, fr_full[k++]);
+      ASSERT_EQ(lnl.runaway(ri).f, fr_split[k++]);
     });
-    EXPECT_EQ(k, fr_full.size());
+    EXPECT_EQ(k, fr_split.size());
   });
 }
 
+void compare_split_slave_forces(bool fused, bool with_runaways) {
+  const Rig rig(accel_config());
+  sw::SlaveCorePool pool(8);
+  SlaveForceCompute slave(rig.tables, pool, AccelStrategy::CompactedReuse);
+  slave.set_fused(fused);
+  compare_split_forces(rig, slave, with_runaways);
+}
+
 TEST(SlaveForce, SplitFusedMatchesUnsplitBitwise) {
-  compare_split_forces(/*fused=*/true, /*with_runaways=*/false);
+  compare_split_slave_forces(/*fused=*/true, /*with_runaways=*/false);
 }
 
 TEST(SlaveForce, SplitTwoPassMatchesUnsplitBitwise) {
-  compare_split_forces(/*fused=*/false, /*with_runaways=*/false);
+  compare_split_slave_forces(/*fused=*/false, /*with_runaways=*/false);
 }
 
 TEST(SlaveForce, SplitWithRunawaysMatchesUnsplitBitwise) {
-  compare_split_forces(/*fused=*/true, /*with_runaways=*/true);
+  compare_split_slave_forces(/*fused=*/true, /*with_runaways=*/true);
+}
+
+TEST(ReferenceForce, SplitMatchesUnsplitBitwise) {
+  const Rig rig(accel_config());
+  ReferenceForce ref(rig.tables);
+  compare_split_forces(rig, ref, /*with_runaways=*/false);
+}
+
+TEST(ReferenceForce, SplitWithRunawaysMatchesUnsplitBitwise) {
+  const Rig rig(accel_config());
+  ReferenceForce ref(rig.tables);
+  compare_split_forces(rig, ref, /*with_runaways=*/true);
 }
 
 TEST(SlaveForce, CompactedUsesFarFewerDmaOps) {
