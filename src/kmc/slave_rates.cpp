@@ -32,9 +32,9 @@ void SlaveRateCompute::run_pass(const KmcModel& model,
   }
   const auto window_len = static_cast<std::size_t>(dmax - dmin + 1);
 
-  const std::size_t n_events = events.size();
-  const std::size_t n_cores = pool_->size();
-  pool_->run([&](sw::SlaveCtx& ctx) {
+  pool_->parallel_for_chunks(events.size(), [&](sw::SlaveCtx& ctx,
+                                                std::size_t lo_i,
+                                                std::size_t hi_i) {
     // Per-core staging, allocated once: the state window plus the resident
     // majority-species (Fe-Fe) table of this pass — the paper's residency
     // policy; minority-pair lookups fall back to main memory.
@@ -47,9 +47,6 @@ void SlaveRateCompute::run_pass(const KmcModel& model,
         pass == Pass::Density ? tables_->f(0, 0) : tables_->phi(0, 0);
     pot::CompactTableAccess fe_access(fe_table, *ctx.local_store, *ctx.dma, true);
 
-    const std::size_t chunk = (n_events + n_cores - 1) / n_cores;
-    const std::size_t lo_i = ctx.core_id * chunk;
-    const std::size_t hi_i = std::min(n_events, lo_i + chunk);
     for (std::size_t i = lo_i; i < hi_i; ++i) {
       const EventCandidate ev = events[i];
       const auto t = static_cast<int>(model.state(ev.nb));

@@ -18,7 +18,9 @@ struct EventCandidate {
 /// EAM interpolation "is the same as MD and can be accelerated by the slave
 /// cores").
 ///
-/// Candidates are partitioned over the slave cores. Each core stages the
+/// Candidates are partitioned over the slave cores by
+/// SlaveCorePool::parallel_for_chunks: a core without candidates is not
+/// invoked, and an empty batch makes no launch. Each invoked core stages the
 /// compacted table of the active pass in its local store and, per candidate,
 /// DMAs the two (2h+1)^3-cell site-state windows around the vacancy and its
 /// partner (a few hundred bytes each — KMC state is one byte per site, the

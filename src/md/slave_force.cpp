@@ -145,7 +145,10 @@ void SlaveForceCompute::sweep(
   const double* mains[5] = {planes_.x(), planes_.y(), planes_.z(),
                             planes_.id(), planes_.fprime()};
 
-  pool_->run([&](sw::SlaveCtx& ctx) {
+  // One slab of owned (y,z) rows per core; cores without rows are not invoked.
+  pool_->parallel_for_chunks(total_rows, [&](sw::SlaveCtx& ctx,
+                                             std::size_t row_begin,
+                                             std::size_t row_end) {
     util::Timer timer;
     sw::LocalStore& store = *ctx.local_store;
     sw::DmaEngine& dma = *ctx.dma;
@@ -259,11 +262,6 @@ void SlaveForceCompute::sweep(
             h + o.dx));
       }
     }
-
-    // Slab: a contiguous chunk of owned (y,z) rows for this core.
-    const std::size_t chunk = (total_rows + pool_->size() - 1) / pool_->size();
-    const std::size_t row_begin = ctx.core_id * chunk;
-    const std::size_t row_end = std::min(total_rows, row_begin + chunk);
 
     std::vector<sw::DmaEngine::Run> runs;
     runs.reserve(static_cast<std::size_t>(kPlanes) * 2 *

@@ -27,10 +27,15 @@ std::string to_string(AccelStrategy s);
 /// EAM force computation on the simulated Sunway slave cores (paper §2.1.2).
 ///
 /// The subdomain is split into slabs (one per slave core: a contiguous chunk
-/// of owned (y,z) cell rows); each slab is processed in blocks of `bx` cells
-/// along x. Per block the core DMAs a window of (bx+2h)(2h+1)^2 cells into
-/// its local store, evaluates the stage's table(s), and DMAs the results
-/// back.
+/// of owned (y,z) cell rows, dispatched through
+/// SlaveCorePool::parallel_for_chunks); each slab is processed in blocks of
+/// `bx` cells along x. Per block the core DMAs a window of (bx+2h)(2h+1)^2
+/// cells into its local store, evaluates the stage's table(s), and DMAs the
+/// results back. A core stages its resident tables once per sweep, and only
+/// when it owns rows: a core whose slab is empty is not invoked and moves
+/// no bytes, which matters for the thin boundary-shell slabs of a
+/// multi-rank step. Nothing in the local store is assumed to survive from
+/// one sweep to the next.
 ///
 /// Staging is structure-of-arrays end to end: main memory keeps one
 /// sublattice-deinterleaved plane per field (lat::SoaPlanes), and the local
@@ -109,7 +114,8 @@ class SlaveForceCompute {
   static bool simd_supported();
 
   /// Number of core-sweeps that could not keep every wanted compact table
-  /// resident and fell back to per-segment DMA lookups.
+  /// resident and fell back to per-segment DMA lookups. Only cores that
+  /// owned rows in a sweep are counted; idle cores stage nothing.
   std::uint64_t table_fallbacks() const {
     return table_fallbacks_.load(std::memory_order_relaxed);
   }

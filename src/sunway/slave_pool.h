@@ -93,6 +93,9 @@ class SlaveCorePool {
   /// Chunked variant of parallel_for: `fn(ctx, begin, end)` is invoked at
   /// most once per core with that core's contiguous slab [begin, end), so
   /// the per-item std::function dispatch is amortized over the whole chunk.
+  /// Core c owns [c*chunk, min(n, (c+1)*chunk)) with chunk = ceil(n/size()).
+  /// A core whose slab is empty is never invoked, so it stages nothing and
+  /// moves no DMA bytes; the slave force and rate kernels rely on this.
   void parallel_for_chunks(
       std::size_t n,
       const std::function<void(SlaveCtx&, std::size_t, std::size_t)>& fn);

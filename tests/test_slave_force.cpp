@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "md/engine.h"
@@ -289,6 +291,12 @@ TEST(SlaveForce, FusedStaysResidentWhenBothTablesFit) {
   EXPECT_EQ(fallbacks, 0u);
 }
 
+/// Owned forces of one pass: entries by index, then owned run-aways.
+struct SplitForces {
+  std::vector<util::Vec3> entries;
+  std::vector<util::Vec3> runaways;
+};
+
 /// The overlap split (interior while the rho exchange is notionally in
 /// flight, boundary after) must reproduce the unsplit compute_forces
 /// bit-for-bit: same neighbor walk order per entry, output is assignment.
@@ -297,8 +305,11 @@ TEST(SlaveForce, FusedStaysResidentWhenBothTablesFit) {
 /// same compute_rho / compute_forces{,_interior,_boundary} calls. The split
 /// pass runs first, on a kernel that has seen no earlier pass, so a boundary
 /// call that skipped the ghost F'(rho) refresh could not borrow its values.
+/// Returns the split pass's forces.
 template <typename Kernel>
-void compare_split_forces(const Rig& rig, Kernel& kernel, bool with_runaways) {
+SplitForces compare_split_forces(const Rig& rig, Kernel& kernel,
+                                 bool with_runaways) {
+  SplitForces split;
   comm::World world(1);
   world.run([&](comm::Comm& comm) {
     MdEngine engine(rig.cfg, rig.setup.geo, rig.setup.dd, rig.tables, comm.rank());
@@ -346,15 +357,86 @@ void compare_split_forces(const Rig& rig, Kernel& kernel, bool with_runaways) {
       ASSERT_EQ(lnl.runaway(ri).f, fr_split[k++]);
     });
     EXPECT_EQ(k, fr_split.size());
+    split = {std::move(f_split), std::move(fr_split)};
   });
+  return split;
 }
 
-void compare_split_slave_forces(bool fused, bool with_runaways) {
+SplitForces compare_split_slave_forces(bool fused, bool with_runaways,
+                                       std::size_t pool_cores = 8) {
   const Rig rig(accel_config());
-  sw::SlaveCorePool pool(8);
+  sw::SlaveCorePool pool(pool_cores);
   SlaveForceCompute slave(rig.tables, pool, AccelStrategy::CompactedReuse);
   slave.set_fused(fused);
-  compare_split_forces(rig, slave, with_runaways);
+  return compare_split_forces(rig, slave, with_runaways);
+}
+
+/// The slab partition decides only which core sweeps a row, never what the
+/// row computes. Over the 36 rows of a full sweep, one core sweeps them all,
+/// eight cores share them, or 36 of 64 cores own one each; all three give
+/// identical owned forces through the interior/boundary split. A dropped or
+/// doubly swept row would show here.
+void expect_split_forces_independent_of_pool_size(bool with_runaways) {
+  const SplitForces one = compare_split_slave_forces(true, with_runaways, 1);
+  ASSERT_FALSE(one.entries.empty());
+  for (const std::size_t cores : {std::size_t{8}, std::size_t{64}}) {
+    SCOPED_TRACE(cores);
+    const SplitForces many =
+        compare_split_slave_forces(true, with_runaways, cores);
+    ASSERT_EQ(many.entries.size(), one.entries.size());
+    for (std::size_t i = 0; i < one.entries.size(); ++i) {
+      ASSERT_EQ(many.entries[i], one.entries[i]) << "entry " << i;
+    }
+    EXPECT_EQ(many.runaways, one.runaways);
+  }
+}
+
+TEST(SlaveForce, SplitForcesIndependentOfPoolSize) {
+  expect_split_forces_independent_of_pool_size(/*with_runaways=*/false);
+}
+
+TEST(SlaveForce, SplitForcesWithRunawaysIndependentOfPoolSize) {
+  expect_split_forces_independent_of_pool_size(/*with_runaways=*/true);
+}
+
+TEST(SlaveForce, CoresWithoutRowsMoveNoBytes) {
+  // 6^3 cells on one rank: 36 (y,z) rows over a 64-core pool, one row per
+  // core. Cores 36..63 own no row of any sweep and must stage nothing.
+  const Rig rig(accel_config());
+  constexpr std::size_t kCores = 64;
+  constexpr std::size_t kRows = 36;
+  comm::World world(1);
+  world.run([&](comm::Comm& comm) {
+    MdEngine engine(rig.cfg, rig.setup.geo, rig.setup.dd, rig.tables,
+                    comm.rank());
+    engine.initialize(comm);
+    auto& lnl = engine.lattice();
+    lat::GhostExchange ghosts(lnl, rig.setup.dd, comm.rank());
+    sw::SlaveCorePool pool(kCores);
+    SlaveForceCompute slave(rig.tables, pool, AccelStrategy::CompactedReuse);
+    auto expect_idle_cores_silent = [&](const char* path) {
+      for (std::size_t c = 0; c < kCores; ++c) {
+        const std::uint64_t moved = pool.core(c).dma->stats().total_bytes();
+        if (c < kRows) {
+          EXPECT_GT(moved, 0u) << path << ": core " << c;
+        } else {
+          EXPECT_EQ(moved, 0u) << path << ": core " << c << " owns no row";
+        }
+      }
+    };
+
+    slave.compute_rho(lnl);
+    ghosts.exchange_rho(comm);
+    slave.compute_forces(lnl);
+    expect_idle_cores_silent("unsplit");
+
+    slave.reset_stats();
+    slave.compute_rho(lnl);
+    slave.compute_forces_interior(lnl);
+    ghosts.exchange_rho(comm);
+    slave.compute_forces_boundary(lnl);
+    expect_idle_cores_silent("split");
+  });
 }
 
 TEST(SlaveForce, SplitFusedMatchesUnsplitBitwise) {

@@ -135,22 +135,36 @@ TEST(SlaveRates, DmaTrafficIsTiny) {
       if (is_atom(model.state(ni))) candidates.push_back({idx, ni});
     }
   }
-  sw::SlaveCorePool pool(4);
-  SlaveRateCompute kernel(rig.tables, pool);
-  kernel.reset_stats();
-  kernel.exchange_dE_batch(model, candidates);
-  const auto stats = kernel.dma_stats();
-  EXPECT_GT(stats.get_ops, 0u);
-  // Window + table staging only: well under a MB for 8 candidates.
-  EXPECT_LT(stats.get_bytes, (1u << 20));
-  // The per-pass split accounts for the whole aggregate: every byte belongs
-  // to either the density pass or the pair pass.
-  const auto density = kernel.density_dma_stats();
-  const auto pair = kernel.pair_dma_stats();
-  EXPECT_GT(density.get_bytes, 0u);
-  EXPECT_GT(pair.get_bytes, 0u);
-  EXPECT_EQ(density.get_bytes + pair.get_bytes, stats.get_bytes);
-  EXPECT_EQ(density.get_ops + pair.get_ops, stats.total_ops());
+  ASSERT_EQ(candidates.size(), 8u);
+  // A 64-core pool leaves cores 8..63 without a candidate: they must not
+  // stage a table or move a byte.
+  for (const std::size_t cores : {std::size_t{4}, std::size_t{64}}) {
+    SCOPED_TRACE(cores);
+    sw::SlaveCorePool pool(cores);
+    SlaveRateCompute kernel(rig.tables, pool);
+    kernel.reset_stats();
+    kernel.exchange_dE_batch(model, candidates);
+    const auto stats = kernel.dma_stats();
+    EXPECT_GT(stats.get_ops, 0u);
+    // Window + table staging only: well under a MB for 8 candidates.
+    EXPECT_LT(stats.get_bytes, (1u << 20));
+    // The per-pass split accounts for the whole aggregate: every byte
+    // belongs to either the density pass or the pair pass.
+    const auto density = kernel.density_dma_stats();
+    const auto pair = kernel.pair_dma_stats();
+    EXPECT_GT(density.get_bytes, 0u);
+    EXPECT_GT(pair.get_bytes, 0u);
+    EXPECT_EQ(density.get_bytes + pair.get_bytes, stats.get_bytes);
+    EXPECT_EQ(density.get_ops + pair.get_ops, stats.total_ops());
+    for (std::size_t c = 0; c < cores; ++c) {
+      const std::uint64_t moved = pool.core(c).dma->stats().total_bytes();
+      if (c < candidates.size()) {
+        EXPECT_GT(moved, 0u) << "core " << c;
+      } else {
+        EXPECT_EQ(moved, 0u) << "core " << c << " owns no candidate";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sunway/core_group.h"
@@ -203,20 +205,35 @@ class SlavePoolParallelForChunks : public ::testing::TestWithParam<std::size_t> 
 
 TEST_P(SlavePoolParallelForChunks, CoversAllTasksExactlyOnceInContiguousChunks) {
   const std::size_t n = GetParam();
-  SlaveCorePool pool(8, 4096);
+  constexpr std::size_t kCores = 8;
+  SlaveCorePool pool(kCores, 4096);
   std::vector<std::atomic<int>> hits(n == 0 ? 1 : n);
-  std::atomic<int> invocations{0};
-  pool.parallel_for_chunks(n, [&](SlaveCtx&, std::size_t begin, std::size_t end) {
-    invocations.fetch_add(1);
-    EXPECT_LT(begin, end);
+  // Each core writes only its own slot, so these need no lock.
+  std::vector<int> calls(kCores, 0);
+  std::vector<std::pair<std::size_t, std::size_t>> slabs(kCores);
+  pool.parallel_for_chunks(n, [&](SlaveCtx& ctx, std::size_t begin, std::size_t end) {
+    ++calls[ctx.core_id];
+    slabs[ctx.core_id] = {begin, end};
     for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
   });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  // At most one dispatch per core: the per-item std::function cost is gone.
-  EXPECT_LE(invocations.load(), 8);
-  if (n > 0) {
-    EXPECT_GE(invocations.load(), 1);
+  // The slab partition the slave kernels rely on: core c owns exactly
+  // [c*chunk, min(n, (c+1)*chunk)), and a core whose slab is empty is never
+  // invoked (it would otherwise stage tables for nothing).
+  const std::size_t chunk = (n + kCores - 1) / kCores;
+  for (std::size_t c = 0; c < kCores; ++c) {
+    const std::size_t begin = std::min(n, c * chunk);
+    const std::size_t end = std::min(n, (c + 1) * chunk);
+    if (begin < end) {
+      EXPECT_EQ(calls[c], 1) << "core " << c;
+      EXPECT_EQ(slabs[c], std::make_pair(begin, end)) << "core " << c;
+    } else {
+      EXPECT_EQ(calls[c], 0) << "core " << c << " has an empty slab";
+    }
   }
+  const int invocations = std::accumulate(calls.begin(), calls.end(), 0);
+  EXPECT_EQ(static_cast<std::size_t>(invocations),
+            n == 0 ? 0 : (n + chunk - 1) / chunk);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SlavePoolParallelForChunks,
