@@ -22,8 +22,20 @@ KmcEngine::KmcEngine(const KmcConfig& cfg, const lat::BccGeometry& geo,
       model_(cfg, geo, dd, tables, rank),
       ghosts_(geo, dd, rank, model_.box().halo, strategy),
       base_rng_(cfg.seed) {
-  table_.reset(model_.owned_indices().size());
-  dirty_mark_.assign(model_.owned_indices().size(), 0);
+  const std::size_t n_owned = model_.owned_indices().size();
+  table_.reset(n_owned);
+  rate_cache_.assign(n_owned * EventTable::kSlotsPerSite, 0.0);
+  cache_valid_.assign(n_owned, 0);
+  dirty_mark_.assign(n_owned, 0);
+}
+
+void KmcEngine::finish_initialize(comm::Comm& comm) {
+  comm_time_.start();
+  ghosts_.initialize(comm, model_);
+  comm_time_.stop();
+  model_.clear_flips();
+  std::fill(cache_valid_.begin(), cache_valid_.end(), 0);
+  initialized_ = true;
 }
 
 void KmcEngine::initialize_random(comm::Comm& comm, double vacancy_concentration,
@@ -40,10 +52,7 @@ void KmcEngine::initialize_random(comm::Comm& comm, double vacancy_concentration
     }
     model_.set_state(idx, s);
   }
-  comm_time_.start();
-  ghosts_.initialize(comm, model_);
-  comm_time_.stop();
-  initialized_ = true;
+  finish_initialize(comm);
 }
 
 void KmcEngine::initialize_sites(comm::Comm& comm,
@@ -51,10 +60,7 @@ void KmcEngine::initialize_sites(comm::Comm& comm,
   for (std::int64_t gid : owned_vacancies) {
     model_.set_state_global(gid, SiteState::Vacancy);
   }
-  comm_time_.start();
-  ghosts_.initialize(comm, model_);
-  comm_time_.stop();
-  initialized_ = true;
+  finish_initialize(comm);
 }
 
 KmcEngineState KmcEngine::engine_state() const {
@@ -73,10 +79,7 @@ void KmcEngine::restore_state(comm::Comm& comm, const KmcEngineState& s) {
   stats_.mc_time = s.mc_time;
   last_max_rate_ = s.last_max_rate;
   base_rng_.set_state(s.rng_state);
-  comm_time_.start();
-  ghosts_.initialize(comm, model_);
-  comm_time_.stop();
-  initialized_ = true;
+  finish_initialize(comm);
 }
 
 int KmcEngine::sector_of(const lat::LocalCoord& c) const {
@@ -91,6 +94,10 @@ void KmcEngine::enumerate_candidates(std::size_t vac) {
   const lat::LocalBox& b = model_.box();
   const lat::LocalCoord c = b.coord_of(vac);
   const std::uint32_t ord = model_.owned_ordinal(vac);
+  // A neighbour that holds no atom has no candidate: its slot stays 0.
+  const std::size_t base = std::size_t{ord} * EventTable::kSlotsPerSite;
+  std::fill_n(&rate_cache_[base], EventTable::kSlotsPerSite, 0.0);
+  cache_valid_[ord] = 1;
   const auto& nn = model_.nn_offsets(c.sub);
   for (std::size_t k = 0; k < nn.size(); ++k) {
     const auto& o = nn[k];
@@ -99,7 +106,7 @@ void KmcEngine::enumerate_candidates(std::size_t vac) {
     const std::size_t ni = b.entry_index(n);
     if (!is_atom(model_.state(ni))) continue;
     batch_.push_back({vac, ni});
-    slots_.push_back(static_cast<std::size_t>(ord) * EventTable::kSlotsPerSite + k);
+    slots_.push_back(base + k);
   }
 }
 
@@ -123,13 +130,42 @@ void KmcEngine::apply_batch(double* max_rate) {
     const double k = model_.rate((*dE)[i]);
     table_.set_rate(EventTable::site_of(slots_[i]),
                     EventTable::offset_of(slots_[i]), k);
+    rate_cache_[slots_[i]] = k;
     if (max_rate != nullptr) *max_rate = std::max(*max_rate, k);
   }
   rates_recomputed_ += batch_.size();
 }
 
-void KmcEngine::rebuild_sector_table(int sector, double* max_rate) {
+void KmcEngine::drain_flips(int sector) {
+  const lat::LocalBox& b = model_.box();
+  // Shells are symmetric: the owned entries in a flipped entry's shell are
+  // exactly the blocks whose rates read it (each local image journals alone).
+  for (const std::size_t f : model_.flips()) {
+    const lat::LocalCoord c = b.coord_of(f);
+    for (const auto& o : model_.invalidation_offsets(c.sub)) {
+      const lat::LocalCoord n{c.x + o.dx, c.y + o.dy, c.z + o.dz, o.to_sub};
+      if (!b.owns(n)) continue;
+      const std::size_t idx = b.entry_index(n);
+      const std::uint32_t ord = model_.owned_ordinal(idx);
+      cache_valid_[ord] = 0;
+      if (dirty_mark_[ord] != 0 || sector_of(n) != sector) continue;
+      // Refresh an in-sector vacancy (rates or partners changed) or a block
+      // holding stale slots (its site stopped being a vacancy).
+      if (model_.state(idx) != SiteState::Vacancy && !table_.site_touched(ord)) continue;
+      dirty_mark_[ord] = 1;
+      dirty_sites_.push_back(idx);
+    }
+  }
+  model_.clear_flips();
+}
+
+void KmcEngine::build_sector_table(int sector, double* max_rate) {
   MMD_TRACE_SCOPE("kmc.rates.build");
+  if (cfg_.incremental) {
+    drain_flips(-1);  // no sector is -1: invalidate only, collect nothing
+  } else {
+    model_.clear_flips();
+  }
   table_.clear();
   batch_.clear();
   slots_.clear();
@@ -137,46 +173,28 @@ void KmcEngine::rebuild_sector_table(int sector, double* max_rate) {
   for (std::size_t idx : model_.owned_indices()) {
     if (model_.state(idx) != SiteState::Vacancy) continue;
     if (sector_of(b.coord_of(idx)) != sector) continue;
-    enumerate_candidates(idx);
+    const std::uint32_t ord = model_.owned_ordinal(idx);
+    if (!cfg_.incremental || cache_valid_[ord] == 0) {
+      enumerate_candidates(idx);
+      continue;
+    }
+    // A cache hit is the double a fresh rating would give; it also feeds
+    // max_rate, hence the next cycle's dt allreduce.
+    const double* cached = &rate_cache_[std::size_t{ord} * EventTable::kSlotsPerSite];
+    for (int k = 0; k < EventTable::kSlotsPerSite; ++k) {
+      if (cached[k] == 0.0) continue;
+      table_.set_rate(ord, k, cached[k]);
+      *max_rate = std::max(*max_rate, cached[k]);
+      ++rates_reused_;
+    }
   }
   apply_batch(max_rate);
 }
 
-void KmcEngine::update_after_event(int sector, std::int64_t gid_vac,
-                                   std::int64_t gid_atom, double* max_rate) {
+void KmcEngine::update_after_event(int sector, double* max_rate) {
   MMD_TRACE_SCOPE("kmc.rates.update");
-  const lat::LocalBox& b = model_.box();
   dirty_sites_.clear();
-  // A candidate block needs a refresh when its site is an in-sector owned
-  // vacancy near a flipped site (rates or partners changed) or when it holds
-  // stale slots (the site stopped being a vacancy: exactly the swapped
-  // vacancy site itself). Every local image of the two swapped gids is a
-  // flip center — periodic wraps can place one inside the halo shell of a
-  // distant-looking region.
-  const auto consider = [&](const lat::LocalCoord& c) {
-    if (!b.owns(c)) return;
-    if (sector_of(c) != sector) return;
-    const std::size_t idx = b.entry_index(c);
-    const std::uint32_t ord = model_.owned_ordinal(idx);
-    if (dirty_mark_[ord] != 0) return;
-    if (model_.state(idx) != SiteState::Vacancy && !table_.site_touched(ord)) {
-      return;
-    }
-    dirty_mark_[ord] = 1;
-    dirty_sites_.push_back(idx);
-  };
-  for (const std::int64_t gid : {gid_vac, gid_atom}) {
-    model_.images_of_global(gid, images_);
-    for (const std::size_t img : images_) {
-      const lat::LocalCoord c = b.coord_of(img);
-      consider(c);
-      for (const auto& o : model_.invalidation_offsets(c.sub)) {
-        const lat::LocalCoord n{c.x + o.dx, c.y + o.dy, c.z + o.dz, o.to_sub};
-        if (!b.in_storage(n)) continue;
-        consider(n);
-      }
-    }
-  }
+  drain_flips(sector);
   batch_.clear();
   slots_.clear();
   for (const std::size_t idx : dirty_sites_) {
@@ -209,7 +227,7 @@ void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
                       .split(static_cast<std::uint64_t>(model_.rank()) + 1);
   const lat::LocalBox& b = model_.box();
   double max_rate = 0.0;
-  rebuild_sector_table(sector, &max_rate);
+  build_sector_table(sector, &max_rate);
 
   std::vector<std::int64_t> touched;
   double tau = 0.0;
@@ -248,9 +266,9 @@ void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
     touched.push_back(gid_atom);
     ++stats_.events;
     if (cfg_.incremental) {
-      update_after_event(sector, gid_vac, gid_atom, &max_rate);
+      update_after_event(sector, &max_rate);
     } else {
-      rebuild_sector_table(sector, &max_rate);
+      build_sector_table(sector, &max_rate);
     }
   }
   last_max_rate_ = std::max(last_max_rate_, max_rate);

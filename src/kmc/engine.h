@@ -47,6 +47,9 @@ struct KmcEngineState {
 ///
 /// With a fixed seed the event sequence is identical under every strategy,
 /// which the equivalence tests exploit.
+///
+/// Candidate rates persist across cycles in a per-rank cache; sector entry
+/// re-rates only blocks a journaled flip reached (DESIGN.md §5d).
 class KmcEngine {
  public:
   KmcEngine(const KmcConfig& cfg, const lat::BccGeometry& geo,
@@ -110,24 +113,38 @@ class KmcEngine {
   int sector_of(const lat::LocalCoord& c) const;
 
   /// Append the candidate events of the owned vacancy at `vac` (its occupied
-  /// 1NNs) to batch_/slots_, in canonical nn-offset order.
+  /// 1NNs) to batch_/slots_, in canonical nn-offset order, and zero its
+  /// rate-cache block (apply_batch fills it), marking the block valid.
   void enumerate_candidates(std::size_t vac);
 
   /// Rate batch_ (slave kernel or master path), write the rates into the
-  /// event table at slots_, and fold the per-batch maximum into *max_rate.
+  /// event table and the rate cache at slots_, and fold the per-batch
+  /// maximum into *max_rate.
   void apply_batch(double* max_rate);
 
-  /// Rebuild the sector's table from scratch: clear every touched block,
-  /// re-enumerate every in-sector vacancy, recompute every dE. The
-  /// per-executed-event cost of the kmc.incremental=off oracle.
-  void rebuild_sector_table(int sector, double* max_rate);
+  /// Empty the model's flip journal, dropping every cached block inside the
+  /// invalidation shell of a journaled entry, in any sector. Blocks of
+  /// `sector` that need a table refresh (an owned vacancy, or a touched
+  /// block gone stale) are collected into dirty_sites_.
+  void drain_flips(int sector);
 
-  /// Dirty-region maintenance after a swap of (gid_vac, gid_atom): refresh
-  /// only the candidate blocks inside the invalidation shell of the two
-  /// sites' local images. Leaves the table bit-identical to what
-  /// rebuild_sector_table would produce.
-  void update_after_event(int sector, std::int64_t gid_vac,
-                          std::int64_t gid_atom, double* max_rate);
+  /// Fill the sector's table: clear it, then enter every in-sector vacancy.
+  /// The incremental path first drains the journal (flips since the last
+  /// drain: ghost exchange, external writes), then copies each valid cached
+  /// block and re-rates the rest. The kmc.incremental=off oracle discards
+  /// the journal and re-rates every block: its per-executed-event cost.
+  void build_sector_table(int sector, double* max_rate);
+
+  /// Dirty-region maintenance after an executed swap: drain the journaled
+  /// flips and refresh only the sector's candidate blocks inside their
+  /// invalidation shells. Leaves the table bit-identical to what
+  /// build_sector_table would produce without the cache.
+  void update_after_event(int sector, double* max_rate);
+
+  /// Collective tail of every init path: refresh the ghosts from their
+  /// owners, then start the rate cache cold (empty journal, every block
+  /// invalid), so checkpoints carry no rate state.
+  void finish_initialize(comm::Comm& comm);
 
   void process_sector(comm::Comm& comm, int sector, double dt,
                       std::uint64_t cycle);
@@ -144,13 +161,16 @@ class KmcEngine {
   mutable util::AccumTimer comm_time_;
 
   // --- incremental event-table state (reused scratch, no per-event allocs) ---
-  EventTable table_;
+  EventTable table_;  ///< per-sector transient
+  /// Cross-cycle rate cache, addressed like the table (ordinal·8 + k); a
+  /// block is valid while no entry in its invalidation shell has flipped.
+  std::vector<double> rate_cache_;
+  std::vector<std::uint8_t> cache_valid_;  ///< per-ordinal block flags
   std::vector<EventCandidate> batch_;     ///< candidates awaiting rating
   std::vector<std::size_t> slots_;        ///< table slot per batch_ entry
   std::vector<double> de_scratch_;        ///< master-core path dE output
   std::vector<std::size_t> dirty_sites_;  ///< owned entries to refresh
   std::vector<std::uint8_t> dirty_mark_;  ///< per-ordinal dedup flags
-  std::vector<std::size_t> images_;       ///< images_of_global scratch
   std::vector<std::pair<std::int64_t, std::int64_t>> event_log_;
   // Per-run telemetry accumulators, flushed once per sector.
   std::uint64_t rates_recomputed_ = 0;

@@ -136,7 +136,7 @@ void KmcModel::images_of_global(std::int64_t gid,
 void KmcModel::set_state_global(std::int64_t gid, SiteState s) {
   std::vector<std::size_t> images;
   images_of_global(gid, images);
-  for (std::size_t i : images) sites_[i] = s;
+  for (std::size_t i : images) set_state(i, s);
 }
 
 bool KmcModel::in_storage_global(std::int64_t gid) const {
@@ -233,6 +233,7 @@ std::vector<std::int64_t> KmcModel::owned_vacancy_sites() const {
 
 std::size_t KmcModel::memory_bytes() const {
   std::size_t b = sites_.capacity() * sizeof(SiteState);
+  b += flips_.capacity() * sizeof(std::size_t);
   b += owned_.capacity() * sizeof(std::size_t);
   b += owned_ordinal_.capacity() * sizeof(std::uint32_t);
   for (int sub = 0; sub <= 1; ++sub) {

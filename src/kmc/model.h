@@ -38,7 +38,7 @@ struct KmcConfig {
   std::uint64_t seed = 42;
   int table_segments = 5000;
   /// Maintain the sector's event table incrementally (dirty-region rate
-  /// rebuilds after each executed event). false = full rescan after every
+  /// refreshes, rates cached across cycles). false = full rescan after every
   /// event, the O(N_owned)-per-event equivalence oracle (scenario key
   /// `kmc.incremental`). Both paths share the same partial-sum tree for
   /// totals and selection, so the event sequence is bit-identical.
@@ -65,6 +65,8 @@ double real_time_scale(double t_threshold_s, double vacancy_concentration,
 /// short along an axis; `set_state_global` keeps every image coherent, which
 /// is what lets the traditional and on-demand communication strategies
 /// produce bit-identical configurations.
+/// `set_state` and `set_state_global`, the only writers, append every local
+/// entry whose state changes to a flip journal (drained by the engine).
 class KmcModel {
  public:
   KmcModel(const KmcConfig& cfg, const lat::BccGeometry& geo,
@@ -79,8 +81,17 @@ class KmcModel {
   // --- state access --------------------------------------------------------
 
   SiteState state(std::size_t idx) const { return sites_[idx]; }
-  void set_state(std::size_t idx, SiteState s) { sites_[idx] = s; }
+  void set_state(std::size_t idx, SiteState s) {
+    if (sites_[idx] == s) return;
+    sites_[idx] = s;
+    flips_.push_back(idx);
+  }
   std::size_t size() const { return sites_.size(); }
+
+  /// Local entries whose state changed since the last clear_flips(), in
+  /// write order (an entry flipped twice appears twice).
+  const std::vector<std::size_t>& flips() const { return flips_; }
+  void clear_flips() { flips_.clear(); }
 
   /// Raw site array (main-memory view for the slave-core rate kernel).
   const SiteState* raw_sites() const { return sites_.data(); }
@@ -94,7 +105,8 @@ class KmcModel {
   /// (owned and ghost); at least one if the site is in this rank's storage.
   void images_of_global(std::int64_t gid, std::vector<std::size_t>& out) const;
 
-  /// Set every local image of a global site (no-op images outside storage).
+  /// Set every local image of a global site (no-op images outside storage);
+  /// journals each image that changes.
   void set_state_global(std::int64_t gid, SiteState s);
 
   /// Whether this rank's storage holds any image of the global cell.
@@ -196,6 +208,7 @@ class KmcModel {
   std::vector<double> f_cache_[2];
   std::vector<double> phi_cache_[2];
   std::vector<SiteState> sites_;
+  std::vector<std::size_t> flips_;  ///< flip journal (local entry indices)
   std::vector<std::size_t> owned_;
   std::vector<std::uint32_t> owned_ordinal_;
   std::vector<ShellOffset> invalidation_[2];

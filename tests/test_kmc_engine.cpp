@@ -289,6 +289,43 @@ TEST(KmcEngine, IncrementalRateTelemetryCounters) {
             agg.counter("kmc.rates.recomputed") / 4);
 }
 
+TEST(KmcEngine, RateCacheSurvivesAcrossCycles) {
+  const auto counters = [](const KmcConfig& cfg, GhostStrategy strategy,
+                           std::uint64_t* events) {
+    telemetry::Session session(2);
+    run_kmc(cfg, 2, strategy, 0.01, 8, events);
+    return session.metrics().aggregate();
+  };
+  // Few events per cycle, as in a long anneal: most blocks see no flip
+  // between two visits of their sector.
+  KmcConfig sparse = engine_config();
+  sparse.dt_scale = 0.5;
+  KmcConfig scan = sparse;
+  scan.incremental = false;
+  std::uint64_t inc_events = 0;
+  std::uint64_t scan_events = 0;
+  const auto inc = counters(sparse, GhostStrategy::OnDemandOneSided, &inc_events);
+  const auto oracle = counters(scan, GhostStrategy::OnDemandOneSided, &scan_events);
+  ASSERT_GT(inc_events, 0u);
+  EXPECT_EQ(inc_events, scan_events);
+  // Sector entry re-rates only blocks a flip reached since their last visit.
+  EXPECT_LT(inc.counter("kmc.rates.recomputed"),
+            oracle.counter("kmc.rates.recomputed") / 2);
+
+  // With no events nothing flips after the first cycle rates every block,
+  // so each of the 7 later cycles enters every sector from the cache. The
+  // traditional GET rewrites every ghost per sector; an unchanged value
+  // journals nothing, so it must not cost a re-rate.
+  KmcConfig still = engine_config();
+  still.dt_scale = 1e-12;
+  std::uint64_t still_events = 0;
+  const auto idle = counters(still, GhostStrategy::Traditional, &still_events);
+  ASSERT_EQ(still_events, 0u);
+  ASSERT_GT(idle.counter("kmc.rates.recomputed"), 0u);
+  EXPECT_EQ(idle.counter("kmc.rates.reused"),
+            7 * idle.counter("kmc.rates.recomputed"));
+}
+
 TEST(KmcEngine, RescanOracleReusesNothing) {
   telemetry::MetricsRegistry::Aggregate agg;
   std::uint64_t events = 0;

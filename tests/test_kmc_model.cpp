@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "comm/world.h"
+#include "kmc/engine.h"
 #include "kmc/model.h"
 
 namespace mmd::kmc {
@@ -84,6 +87,60 @@ TEST(KmcModel, SetStateGlobalKeepsImagesCoherent) {
     EXPECT_EQ(m.state(i), SiteState::Vacancy);
   }
   EXPECT_EQ(m.count_owned_vacancies(), 1u);
+}
+
+TEST(KmcModel, SameValueWriteJournalsNothing) {
+  Rig rig(small_config(), 1);
+  KmcModel m(rig.cfg, rig.geo, rig.dd, rig.tables, 0);
+  const std::size_t idx = m.owned_indices()[5];
+  m.set_state(idx, SiteState::Fe);
+  m.set_state_global(rig.geo.site_id({0, 0, 0, 0}), SiteState::Fe);
+  EXPECT_TRUE(m.flips().empty());
+  m.set_state(idx, SiteState::Vacancy);
+  m.set_state(idx, SiteState::Vacancy);
+  EXPECT_EQ(m.flips(), std::vector<std::size_t>{idx});
+  m.clear_flips();
+  EXPECT_TRUE(m.flips().empty());
+}
+
+TEST(KmcModel, SetStateGlobalJournalsEveryChangedImageOnce) {
+  Rig rig(small_config(), 1);
+  KmcModel m(rig.cfg, rig.geo, rig.dd, rig.tables, 0);
+  // Single-rank box: a corner site has images across every periodic wrap.
+  const std::int64_t gid = rig.geo.site_id({0, 0, 0, 0});
+  std::vector<std::size_t> images;
+  m.images_of_global(gid, images);
+  ASSERT_GE(images.size(), 2u);
+  // One image already holds the new state, so only the others change.
+  m.set_state(images[0], SiteState::Vacancy);
+  m.clear_flips();
+  m.set_state_global(gid, SiteState::Vacancy);
+  std::vector<std::size_t> journaled = m.flips();
+  std::sort(journaled.begin(), journaled.end());
+  std::vector<std::size_t> changed(images.begin() + 1, images.end());
+  std::sort(changed.begin(), changed.end());
+  EXPECT_EQ(journaled, changed);
+}
+
+TEST(KmcModel, JournalEmptyAfterInitializeAndRestore) {
+  Rig rig(small_config(), 1);
+  comm::World world(1);
+  world.run([&](comm::Comm& comm) {
+    KmcEngine engine(rig.cfg, rig.geo, rig.dd, rig.tables, 0,
+                     GhostStrategy::Traditional);
+    const std::vector<std::int64_t> vacancies{rig.geo.site_id({0, 0, 0, 0}),
+                                              rig.geo.site_id({3, 4, 5, 1})};
+    engine.initialize_sites(comm, vacancies);
+    EXPECT_TRUE(engine.model().flips().empty());
+    // A checkpoint read writes owned sites before restore_state.
+    engine.model().set_state(engine.model().owned_indices()[7],
+                             SiteState::Vacancy);
+    ASSERT_FALSE(engine.model().flips().empty());
+    engine.restore_state(comm, engine.engine_state());
+    EXPECT_TRUE(engine.model().flips().empty());
+    engine.initialize_random(comm, 0.05);
+    EXPECT_TRUE(engine.model().flips().empty());
+  });
 }
 
 TEST(KmcModel, RhoAtPerfectLatticeMatchesCalibration) {
