@@ -1,8 +1,12 @@
 // Microbenchmarks (BenchHarness) for the interpolation-table machinery of
 // paper §2.1.2: compacted-resident vs compacted-window-DMA vs traditional
-// row-DMA lookups, table construction, and the on-the-fly Hermite
-// reconstruction cost the compaction trades for DMA volume. Emits
-// BENCH_micro_table_lookup.json for tools/mmd_perf_diff.
+// row-DMA lookups, and table construction. `compact_value_direct` times the
+// master core's lookup, which reads the table's node-derivative plane;
+// `compact_resident_lookup` times a slave core's lookup in its staged copy,
+// which rebuilds both node derivatives from a 6-sample window per call — the
+// arithmetic the compaction trades for DMA volume. `build_compact_table_*`
+// includes filling the plane, which `expand_to_coefficients` then reads.
+// Emits BENCH_micro_table_lookup.json for tools/mmd_perf_diff.
 
 #include "bench_common.h"
 #include "harness.h"

@@ -22,7 +22,9 @@ namespace mmd::md {
 /// Pass 2 reads F'(rho) from a per-particle plane indexed by
 /// lat::ParticleView::slot, filled once per particle before the pair loop
 /// (not once per pair), and takes phi' and f' of a pair from one shared
-/// table window (pot::EamTableSet::PairTables::derivatives).
+/// segment lookup (pot::EamTableSet::PairTables::derivatives). Host lookups
+/// read each table's node-derivative plane instead of rebuilding the stencil
+/// from a 6-sample window as the slave-core copies do; the bits are the same.
 class ReferenceForce {
  public:
   explicit ReferenceForce(const pot::EamTableSet& tables) : tables_(&tables) {}

@@ -205,10 +205,10 @@ void SlaveForceCompute::sweep(
     detail::SimdTable prim_tab, sec_tab;
     if (use_simd) {
       prim_tab = {primary_access.padded(), primary.x_min(), primary.dx(),
-                  primary.x_min() / primary.dx(), primary.segments() - 1};
+                  primary.xmin_over_dx(), primary.segments() - 1};
       if constexpr (kFused) {
         sec_tab = {secondary_access.padded(), secondary.x_min(),
-                   secondary.dx(), secondary.x_min() / secondary.dx(),
+                   secondary.dx(), secondary.xmin_over_dx(),
                    secondary.segments() - 1};
       }
     }

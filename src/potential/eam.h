@@ -103,23 +103,16 @@ struct EamTableSet {
 
     /// phi'(r) and f'(r) from ONE segment lookup. Relies on the shared-grid
     /// invariant: build() and tables_from_setfl() sample a pair's phi and f
-    /// on the same (r_min, cutoff, segments) grid, so one segment index, one
-    /// parameter t and one set of clamped window indices serve both tables.
-    /// Each result equals that table's own derivative(r) bit for bit in
-    /// builds that do not contract a*b+c into FMA (the default x86-64
-    /// target).
+    /// on the same (r_min, cutoff, segments) grid, so one segment index and
+    /// one parameter t serve both tables, each read from its samples and
+    /// node-derivative plane. Each result equals that table's own
+    /// derivative(r) bit for bit in builds that do not contract a*b+c into
+    /// FMA (the default x86-64 target).
     void derivatives(double r, double* dphi, double* df) const {
-      const std::int64_t i = phi.segment_of(r);
-      std::int64_t idx[6];
-      CompactTable::window_indices(i, phi.num_samples(), idx);
-      double wphi[6], wf[6];
-      for (int k = 0; k < 6; ++k) {
-        wphi[k] = phi.samples()[idx[k]];
-        wf[k] = f.samples()[idx[k]];
-      }
-      const double t = phi.param(r, static_cast<int>(i));
-      CompactTable::eval_window(wphi, t, phi.dx(), nullptr, dphi);
-      CompactTable::eval_window(wf, t, phi.dx(), nullptr, df);
+      const int i = phi.segment_of(r);
+      const double t = phi.param(r, i);
+      phi.eval_segment(i, t, nullptr, dphi);
+      f.eval_segment(i, t, nullptr, df);
     }
   };
   std::vector<PairTables> pairs;   ///< indexed by symmetric pair index

@@ -69,7 +69,14 @@ CompactTable CompactTable::build(const std::function<double(double)>& f,
   t.x_min_ = x_min;
   t.x_max_ = x_max;
   t.dx_ = (x_max - x_min) / segments;
+  t.xmin_over_dx_ = x_min / t.dx_;
   t.samples_ = sample(f, x_min, x_max, segments);
+  const std::int64_t n = t.num_samples();
+  t.node_derivs_.resize(t.samples_.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    t.node_derivs_[static_cast<std::size_t>(i)] =
+        hermite::node_derivative(t.samples_.data(), n, i);
+  }
   return t;
 }
 
@@ -78,15 +85,14 @@ CoefficientTable CompactTable::to_coefficients() const {
   t.x_min_ = x_min_;
   t.x_max_ = x_max_;
   t.dx_ = dx_;
-  const std::int64_t n = num_samples();
   t.rows_.resize(static_cast<std::size_t>(segments()));
-  for (std::int64_t i = 0; i < segments(); ++i) {
-    const double s0 = samples_[static_cast<std::size_t>(i)];
-    const double s1 = samples_[static_cast<std::size_t>(i + 1)];
-    const double d0 = hermite::node_derivative(samples_.data(), n, i);
-    const double d1 = hermite::node_derivative(samples_.data(), n, i + 1);
+  for (std::size_t i = 0; i < t.rows_.size(); ++i) {
+    const double s0 = samples_[i];
+    const double s1 = samples_[i + 1];
+    const double d0 = node_derivs_[i];
+    const double d1 = node_derivs_[i + 1];
     // Power basis: value = c3 t^3 + c4 t^2 + c5 t + c6.
-    auto& r = t.rows_[static_cast<std::size_t>(i)];
+    auto& r = t.rows_[i];
     r[3] = 2.0 * s0 - 2.0 * s1 + d0 + d1;
     r[4] = -3.0 * s0 + 3.0 * s1 - 2.0 * d0 - d1;
     r[5] = d0;

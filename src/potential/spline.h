@@ -19,8 +19,9 @@ namespace mmd::pot {
 /// Cubic Hermite evaluation shared by both table formats. Node derivatives
 /// come from the 5-point finite-difference stencil the paper shows in Fig. 5:
 ///   d[i] = (S[i-2] - S[i+2] + 8*(S[i+1] - S[i-1])) / 12
-/// (indices clamped at the table edges), so the traditional coefficient table
-/// and the on-the-fly compacted evaluation produce IDENTICAL values.
+/// (indices clamped at the table edges), so the traditional coefficient table,
+/// the compact table's host derivative plane and the on-the-fly evaluation of
+/// a staged copy produce IDENTICAL values.
 namespace hermite {
 
 /// Node derivative (per segment-unit) from a clamped 5-point stencil over the
@@ -93,11 +94,17 @@ class CoefficientTable {
 };
 
 /// The paper's compacted interpolation table: only the sampled values are
-/// stored (segments+1 doubles, ~39 KB for 5000 segments — 1/7 of the
-/// traditional table, small enough to be resident in the local store).
-/// Coefficients are reconstructed on the fly from a 6-sample window using the
-/// same stencil, trading a little extra arithmetic for far fewer DMA
-/// transfers (paper §2.1.2).
+/// staged (segments+1 doubles, ~39 KB for 5000 segments — 1/7 of the
+/// traditional table, small enough to be resident in the local store). A
+/// staged copy rebuilds the two node derivatives of each lookup from a
+/// 6-sample window with the same stencil (`eval_window`), trading a little
+/// extra arithmetic for far fewer DMA transfers (paper §2.1.2).
+///
+/// The master core has no local store to fit, so the table also keeps a
+/// plane of those node derivatives, computed once in build(): a host lookup
+/// reads s[i], s[i+1], d[i], d[i+1]. The plane holds the stencil expression
+/// over the same clamped samples, so host and staged lookups give the same
+/// bits. bytes() counts the samples only: it is the staged footprint.
 ///
 /// The evaluators are inline: force and rate kernels call them per pair, and
 /// an out-of-line call per lookup cost about as much as the arithmetic.
@@ -111,12 +118,13 @@ class CompactTable {
   double x_max() const { return x_max_; }
   int segments() const { return static_cast<int>(samples_.size()) - 1; }
   double dx() const { return dx_; }
+  double xmin_over_dx() const { return xmin_over_dx_; }
 
   int segment_of(double x) const {
     const int i = static_cast<int>((x - x_min_) / dx_);
     return std::clamp(i, 0, segments() - 1);
   }
-  double param(double x, int i) const { return x / dx_ - x_min_ / dx_ - i; }
+  double param(double x, int i) const { return x / dx_ - xmin_over_dx_ - i; }
 
   const double* samples() const { return samples_.data(); }
   std::int64_t num_samples() const { return static_cast<std::int64_t>(samples_.size()); }
@@ -132,12 +140,18 @@ class CompactTable {
     return d;
   }
   void eval(double x, double* value, double* derivative) const {
-    const std::int64_t i = segment_of(x);
-    std::int64_t idx[6];
-    window_indices(i, num_samples(), idx);
-    double w[6];
-    for (int k = 0; k < 6; ++k) w[k] = samples_[static_cast<std::size_t>(idx[k])];
-    eval_window(w, param(x, static_cast<int>(i)), dx_, value, derivative);
+    const int i = segment_of(x);
+    eval_segment(i, param(x, i), value, derivative);
+  }
+
+  /// Evaluate segment i (as segment_of returns it) at parameter t from the
+  /// samples and the host node-derivative plane.
+  void eval_segment(int i, double t, double* value, double* derivative) const {
+    const auto k = static_cast<std::size_t>(i);
+    const double s0 = samples_[k], s1 = samples_[k + 1];
+    const double d0 = node_derivs_[k], d1 = node_derivs_[k + 1];
+    if (value) *value = hermite::value(s0, s1, d0, d1, t);
+    if (derivative) *derivative = hermite::deriv_t(s0, s1, d0, d1, t) / dx_;
   }
 
   /// Evaluate segment i from a caller-supplied window of the 6 samples with
@@ -170,11 +184,14 @@ class CompactTable {
   /// Expand this table into the equivalent traditional coefficient table.
   CoefficientTable to_coefficients() const;
 
+  /// Bytes a staged copy occupies: the samples, not the host plane.
   std::size_t bytes() const { return samples_.size() * sizeof(double); }
 
  private:
   double x_min_ = 0.0, x_max_ = 1.0, dx_ = 1.0;
+  double xmin_over_dx_ = 0.0;
   std::vector<double> samples_;
+  std::vector<double> node_derivs_;  ///< hermite::node_derivative per sample
 };
 
 }  // namespace mmd::pot

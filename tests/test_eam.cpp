@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "potential/eam.h"
@@ -12,6 +13,17 @@ namespace {
 
 constexpr double kA = 2.855;
 constexpr double kCut = 5.0;
+
+/// Two evaluations of the same Hermite segment that must agree bit for bit,
+/// unless the build contracts a*b+c into FMA (e.g. -march=x86-64-v3), where
+/// differently inlined call sites may round differently.
+bool differs(double a, double b) {
+#if defined(__FMA__)
+  return std::abs(a - b) > 1e-12 * std::max(1.0, std::abs(b));
+#else
+  return a != b;
+#endif
+}
 
 TEST(EamModel, IronBasicProperties) {
   const EamModel fe = EamModel::iron(kA, kCut);
@@ -139,17 +151,7 @@ TEST(EamTableSet, PairTablesShareOneGrid) {
   // PairTables::derivatives takes phi' and f' from one segment lookup, which
   // is exact only while every pair's phi and f sit on the same grid. Pinned
   // for both builders, and the fused lookup checked against the two
-  // separate ones across the whole domain and past its edges: bit for bit,
-  // unless the build contracts a*b+c into FMA (e.g. -march=x86-64-v3),
-  // where differently inlined call sites may round differently.
-#if defined(__FMA__)
-  constexpr double kTol = 1e-12;
-#else
-  constexpr double kTol = 0.0;
-#endif
-  auto differs = [&](double a, double b) {
-    return std::abs(a - b) > kTol * std::max(1.0, std::abs(b));
-  };
+  // separate ones across the whole domain and past its edges (see differs).
   const EamModel fe = EamModel::iron(kA, kCut);
   const EamModel fecu = EamModel::iron_copper(kA, kCut);
   const std::vector<EamTableSet> sets = {
@@ -174,6 +176,75 @@ TEST(EamTableSet, PairTablesShareOneGrid) {
       }
     }
   }
+}
+
+/// A lookup the way a staged copy does it: the clamped 6-sample window of
+/// the segment and the stencil rebuilt per call, with x_min/dx recomputed.
+void window_eval(const CompactTable& t, double x, double* value, double* derivative) {
+  const int i = t.segment_of(x);
+  std::int64_t idx[6];
+  CompactTable::window_indices(i, t.num_samples(), idx);
+  double w[6];
+  for (int k = 0; k < 6; ++k) w[k] = t.samples()[idx[k]];
+  const double param = x / t.dx() - t.x_min() / t.dx() - i;
+  CompactTable::eval_window(w, param, t.dx(), value, derivative);
+}
+
+TEST(EamTableSet, HostPlaneMatchesWindowRebuild) {
+  // Host lookups read each table's node-derivative plane; staged copies
+  // rebuild the same node derivatives per lookup. Every table of Fe and
+  // Fe-Cu sets from 10 to 5000 segments (at 10, 4 of 11 nodes take the
+  // clamped edge stencil) and of a setfl set, swept from 5% below x_min to
+  // 5% above x_max and through every node, must agree (see differs).
+  const EamModel fe = EamModel::iron(kA, kCut);
+  const EamModel fecu = EamModel::iron_copper(kA, kCut);
+  std::vector<EamTableSet> sets;
+  for (int segments : {10, 400, 2000, 5000}) {
+    sets.push_back(EamTableSet::build(fe, segments));
+    sets.push_back(EamTableSet::build(fecu, segments));
+  }
+  sets.push_back(
+      tables_from_setfl(setfl_from_model(fecu, {"Fe", "Cu"}, 1500, 1000), 1000));
+
+  int mismatches = 0;
+  std::int64_t lookups = 0;
+  auto sweep = [&](const CompactTable& t, auto&& check) {
+    const double span = t.x_max() - t.x_min();
+    const double lo = t.x_min() - 0.05 * span;
+    const int steps = 4 * t.segments() + 41;
+    const double h = 1.1 * span / steps;
+    for (int k = 0; k <= steps; ++k) check(lo + k * h);
+    for (int i = 0; i <= t.segments(); ++i) check(t.x_min() + i * t.dx());
+  };
+  auto check_table = [&](const CompactTable& t) {
+    sweep(t, [&](double x) {
+      double v = 0.0, d = 0.0, wv = 0.0, wd = 0.0;
+      t.eval(x, &v, &d);
+      window_eval(t, x, &wv, &wd);
+      if (differs(v, wv) || differs(d, wd) || differs(t.value(x), wv) ||
+          differs(t.derivative(x), wd)) {
+        ++mismatches;
+      }
+      ++lookups;
+    });
+  };
+  for (const EamTableSet& set : sets) {
+    for (const EamTableSet::PairTables& p : set.pairs) {
+      check_table(p.phi);
+      check_table(p.f);
+      sweep(p.phi, [&](double r) {
+        double dphi = 0.0, df = 0.0, wdphi = 0.0, wdf = 0.0;
+        p.derivatives(r, &dphi, &df);
+        window_eval(p.phi, r, nullptr, &wdphi);
+        window_eval(p.f, r, nullptr, &wdf);
+        if (differs(dphi, wdphi) || differs(df, wdf)) ++mismatches;
+        ++lookups;
+      });
+    }
+    for (const CompactTable& e : set.embed) check_table(e);
+  }
+  EXPECT_GT(lookups, 500000);
+  EXPECT_EQ(mismatches, 0) << "of " << lookups << " lookups";
 }
 
 }  // namespace
