@@ -13,6 +13,7 @@
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace mmd::core {
 
@@ -86,11 +87,11 @@ StagePropagator& Pipeline::add(std::unique_ptr<StagePropagator> stage) {
 }
 
 void Pipeline::run(comm::Comm& comm, StageState& state, StageClock& clock) {
-  reports_.clear();
   for (auto& stage : stages_) {
-    StageReport r = stage->advance(comm, state, clock);
-    telemetry::set_gauge("stage." + r.stage + ".seconds", r.wall_seconds);
-    reports_.push_back(std::move(r));
+    const util::Timer wall;
+    stage->advance(comm, state, clock);
+    telemetry::set_gauge(std::string("stage.") + stage->name() + ".seconds",
+                         wall.elapsed());
   }
 }
 
@@ -100,9 +101,8 @@ MdCascadeStage::MdCascadeStage(const SimulationConfig& cfg,
                                std::uint64_t num_sites, md::MdEngine& md)
     : cfg_(cfg), num_sites_(num_sites), md_(md) {}
 
-StageReport MdCascadeStage::advance(comm::Comm& comm, StageState& state,
-                                    StageClock& clock) {
-  util::Timer wall;
+void MdCascadeStage::advance(comm::Comm& comm, StageState& state,
+                             StageClock& clock) {
   if (!state.restored) {
     // --- MD stage: cascade-collision defect generation ---
     MMD_TRACE_SCOPE("sim.md");
@@ -122,10 +122,8 @@ StageReport MdCascadeStage::advance(comm::Comm& comm, StageState& state,
   state.md_defects = md_.defects(comm);
   state.handoff = HandoffState::capture(md_);
   clock.md_time_ps = md_.simulated_time();
-  telemetry::set_gauge("md.wall_seconds", wall.elapsed());
   telemetry::set_gauge("md.compute_seconds", md_.computation_seconds());
   telemetry::set_gauge("md.comm_seconds", md_.communication_seconds());
-  return {name(), wall.elapsed(), static_cast<std::uint64_t>(cfg_.pka_count)};
 }
 
 // --- KmcStage ---
@@ -141,7 +139,6 @@ std::vector<std::int64_t> KmcStage::gather_vacancies(comm::Comm& comm) const {
 }
 
 void KmcStage::begin(comm::Comm& comm, StageState& state) {
-  timer_.reset();
   done_ = state.restored ? state.restored_cycles : 0;
   if (!state.restored) {
     state.handoff.apply(comm, kmc_);
@@ -180,18 +177,15 @@ void KmcStage::finish(comm::Comm& comm, StageState& state, StageClock& clock) {
   state.vacancies_after = kmc_.gather_vacancies(comm);
   state.vacancy_concentration = kmc_.vacancy_concentration(comm);
   clock.kmc_mc_time_s = kmc_.mc_time();
-  telemetry::set_gauge("kmc.wall_seconds", timer_.elapsed());
   telemetry::set_gauge("kmc.compute_seconds", kmc_.computation_seconds());
   telemetry::set_gauge("kmc.comm_seconds", kmc_.communication_seconds());
 }
 
-StageReport KmcStage::advance(comm::Comm& comm, StageState& state,
-                              StageClock& clock) {
+void KmcStage::advance(comm::Comm& comm, StageState& state, StageClock& clock) {
   MMD_TRACE_SCOPE("sim.kmc");
   begin(comm, state);
   run_detailed(comm, state, clock, static_cast<std::uint64_t>(cfg_.kmc_cycles));
   finish(comm, state, clock);
-  return {name(), timer_.elapsed(), done_};
 }
 
 // --- SamplingScheduler ---
@@ -203,10 +197,9 @@ SamplingScheduler::SamplingScheduler(const SimulationConfig& cfg,
 
 SamplingScheduler::~SamplingScheduler() = default;
 
-StageReport SamplingScheduler::advance(comm::Comm& comm, StageState& state,
-                                       StageClock& clock) {
+void SamplingScheduler::advance(comm::Comm& comm, StageState& state,
+                                StageClock& clock) {
   MMD_TRACE_SCOPE("sim.kmc");
-  util::Timer wall;
   const auto target = static_cast<std::uint64_t>(cfg_.kmc_cycles);
   const auto window = static_cast<std::uint64_t>(cfg_.sampling.window);
   const auto stride = static_cast<std::uint64_t>(cfg_.sampling.stride);
@@ -250,7 +243,6 @@ StageReport SamplingScheduler::advance(comm::Comm& comm, StageState& state,
   state.sampled.windows = windows;
   state.sampled.replicates = cfg_.sampling.replicates;
   detailed_->finish(comm, state, clock);
-  return {name(), wall.elapsed(), windows};
 }
 
 }  // namespace mmd::core

@@ -6,7 +6,6 @@
 
 #include "core/simulation.h"
 #include "core/stage.h"
-#include "util/timer.h"
 
 namespace mmd::io {
 class CheckpointStore;
@@ -21,8 +20,8 @@ namespace mmd::core {
 /// handoff generalized so new propagators (the SCD warming stage, future
 /// OKMC or rate-theory backends) plug in without touching the facade. One
 /// Pipeline instance is built per rank inside Simulation::run(); run()
-/// advances every stage in order and records per-stage reports plus
-/// `stage.<name>.seconds` gauges.
+/// advances every stage in order and times each one into a
+/// `stage.<name>.seconds` gauge.
 class Pipeline {
  public:
   StagePropagator& add(std::unique_ptr<StagePropagator> stage);
@@ -30,11 +29,8 @@ class Pipeline {
   /// Collective across ranks: every rank calls run() with its own state.
   void run(comm::Comm& comm, StageState& state, StageClock& clock);
 
-  const std::vector<StageReport>& reports() const { return reports_; }
-
  private:
   std::vector<std::unique_ptr<StagePropagator>> stages_;
-  std::vector<StageReport> reports_;
 };
 
 /// Stage 1 of the coupled pipeline: cascade-collision defect generation.
@@ -47,8 +43,7 @@ class MdCascadeStage : public StagePropagator {
                  md::MdEngine& md);
 
   const char* name() const override { return "md_cascade"; }
-  StageReport advance(comm::Comm& comm, StageState& state,
-                      StageClock& clock) override;
+  void advance(comm::Comm& comm, StageState& state, StageClock& clock) override;
 
  private:
   const SimulationConfig& cfg_;
@@ -67,8 +62,7 @@ class KmcStage : public StagePropagator {
            io::CheckpointStore* store);
 
   const char* name() const override { return "kmc"; }
-  StageReport advance(comm::Comm& comm, StageState& state,
-                      StageClock& clock) override;
+  void advance(comm::Comm& comm, StageState& state, StageClock& clock) override;
 
   /// Handoff application (fresh run) or pre-KMC census reconstruction
   /// (restored run); fills state.vacancies_before on rank 0.
@@ -93,7 +87,6 @@ class KmcStage : public StagePropagator {
   md::MdEngine& md_;
   io::CheckpointStore* store_;
   std::uint64_t done_ = 0;
-  util::Timer timer_;
 };
 
 /// The SMARTS-style sampled schedule (docs/SAMPLING.md): alternate detailed
@@ -109,8 +102,7 @@ class SamplingScheduler : public StagePropagator {
   ~SamplingScheduler() override;
 
   const char* name() const override { return "sampling"; }
-  StageReport advance(comm::Comm& comm, StageState& state,
-                      StageClock& clock) override;
+  void advance(comm::Comm& comm, StageState& state, StageClock& clock) override;
 
  private:
   const SimulationConfig& cfg_;

@@ -30,7 +30,6 @@ SimulationConfig scenario_from_kv(const util::KeyValueConfig& kv) {
   cfg.kmc_strategy =
       parse_ghost_strategy(kv.get_string("kmc.strategy", "on-demand"));
   cfg.kmc_incremental = kv.get_bool("kmc.incremental", true);
-  cfg.kmc_debug_events = kv.get_bool("kmc.debug_events", false);
   cfg.solute_fraction = kv.get_double("solute", 0.0);
   const std::string accel = kv.get_string("accel", "reference");
   if (accel == "slave") {
@@ -85,7 +84,6 @@ std::string scenario_defaults_text() {
       "kmc.dt_scale  = 1.0\n"
       "kmc.table_segments = 2000\n"
       "kmc.incremental = on    # incremental event tables | off = full-rescan oracle\n"
-      "kmc.debug_events = off  # per-event stderr logging\n"
       "solute        = 0.0      # Fe-Cu alloy: Cu fraction\n"
       "accel         = reference  # reference | slave (slave-core force kernel)\n"
       "md.simd       = auto     # auto | off (AVX2 kernels in the slave force path)\n"

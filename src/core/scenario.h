@@ -18,7 +18,7 @@ kmc::GhostStrategy parse_ghost_strategy(const std::string& s);
 ///   md.time_ps, md.table_segments,
 ///   pka.count, pka.energy_ev,
 ///   kmc.cycles, kmc.strategy, kmc.dt_scale, kmc.table_segments,
-///   kmc.incremental, kmc.debug_events,
+///   kmc.incremental,
 ///   solute, accel (reference | slave), md.simd (auto | off),
 ///   checkpoint.dir, checkpoint.every,
 ///   comm.trace (comm flight-recorder output file; campaigns write it

@@ -20,7 +20,6 @@
 #include "sunway/slave_pool.h"
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
-#include "util/timer.h"
 
 namespace mmd::core {
 
@@ -38,7 +37,6 @@ kmc::KmcConfig kmc_config_from(const SimulationConfig& cfg) {
   k.dt_scale = cfg.kmc_dt_scale;
   k.table_segments = cfg.kmc_table_segments;
   k.incremental = cfg.kmc_incremental;
-  k.debug_events = cfg.kmc_debug_events;
   return k;
 }
 
@@ -313,8 +311,9 @@ SimulationReport Simulation::run() {
   // (max over ranks = the critical path, exactly what the allreduce computed).
   const auto agg = session->metrics().aggregate();
   report.kmc_events = agg.counter("kmc.events") - events_before;
-  report.md_seconds = agg.gauge_maximum("md.wall_seconds");
-  report.kmc_seconds = agg.gauge_maximum("kmc.wall_seconds");
+  report.md_seconds = agg.gauge_maximum("stage.md_cascade.seconds");
+  report.kmc_seconds = std::max(agg.gauge_maximum("stage.kmc.seconds"),
+                                agg.gauge_maximum("stage.sampling.seconds"));
   report.md_compute_seconds = agg.gauge_maximum("md.compute_seconds");
   report.md_comm_seconds = agg.gauge_maximum("md.comm_seconds");
   report.kmc_compute_seconds = agg.gauge_maximum("kmc.compute_seconds");

@@ -47,8 +47,6 @@ struct SimulationConfig {
   /// rate rebuilds + O(log N) BKL selection. false selects the full-rescan
   /// oracle; both produce bit-identical event sequences.
   bool kmc_incremental = true;
-  /// Per-event stderr logging (scenario key `kmc.debug_events`).
-  bool kmc_debug_events = false;
 
   // --- sampled long-time mode (scenario keys `sample.*`, docs/SAMPLING.md) ---
   /// Off runs every KMC cycle detailed (the default pipeline, byte-identical
@@ -116,8 +114,8 @@ struct SimulationReport {
   double kmc_mc_time = 0.0;            ///< MC clock reached [s]
   double vacancy_concentration = 0.0;  ///< C_MC
   double real_time_days = 0.0;         ///< t_real via the paper's formula
-  double md_seconds = 0.0;             ///< wall time of the MD stage
-  double kmc_seconds = 0.0;            ///< wall time of the KMC stage
+  double md_seconds = 0.0;             ///< MD stage wall time, max over ranks
+  double kmc_seconds = 0.0;            ///< KMC (or sampling) stage wall time
   double md_compute_seconds = 0.0;     ///< max over ranks
   double md_comm_seconds = 0.0;
   double kmc_compute_seconds = 0.0;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "md/defects.h"
@@ -104,13 +103,6 @@ struct StageState {
   double vacancy_concentration = 0.0;
 };
 
-/// What one stage propagator did.
-struct StageReport {
-  std::string stage;
-  double wall_seconds = 0.0;
-  std::uint64_t units = 0;  ///< MD steps / KMC cycles / warming windows
-};
-
 /// A composable propagator in the coupled pipeline. advance() is collective
 /// across the in-process ranks: every rank calls it in pipeline order with
 /// its own state, and the stage is free to communicate internally.
@@ -118,8 +110,8 @@ class StagePropagator {
  public:
   virtual ~StagePropagator() = default;
   virtual const char* name() const = 0;
-  virtual StageReport advance(comm::Comm& comm, StageState& state,
-                              StageClock& clock) = 0;
+  virtual void advance(comm::Comm& comm, StageState& state,
+                       StageClock& clock) = 0;
 };
 
 }  // namespace mmd::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
@@ -30,9 +29,10 @@ KmcEngine::KmcEngine(const KmcConfig& cfg, const lat::BccGeometry& geo,
 }
 
 void KmcEngine::finish_initialize(comm::Comm& comm) {
-  comm_time_.start();
-  ghosts_.initialize(comm, model_);
-  comm_time_.stop();
+  {
+    MMD_TRACE_SCOPE_CHARGE("kmc.ghost.init", comm_s_);
+    ghosts_.initialize(comm, model_);
+  }
   model_.clear_flips();
   std::fill(cache_valid_.begin(), cache_valid_.end(), 0);
   initialized_ = true;
@@ -211,18 +211,9 @@ void KmcEngine::update_after_event(int sector, double* max_rate) {
   rates_reused_ += table_.active_slots() - batch_.size();
 }
 
-void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
-                               std::uint64_t cycle) {
-  MMD_TRACE_SCOPE("kmc.sector");
-  const std::uint64_t events_before = stats_.events;
-  comm_time_.start();
-  {
-    MMD_TRACE_SCOPE("kmc.ghost.before");
-    ghosts_.before_sector(comm, model_, sector);
-  }
-  comm_time_.stop();
-
-  comp_.start();
+std::vector<SiteUpdate> KmcEngine::execute_sector(int sector, double dt,
+                                                  std::uint64_t cycle) {
+  MMD_TRACE_SCOPE_CHARGE("kmc.execute", comp_s_);
   util::Rng rng = base_rng_.split(cycle * 8 + static_cast<std::uint64_t>(sector))
                       .split(static_cast<std::uint64_t>(model_.rank()) + 1);
   const lat::LocalBox& b = model_.box();
@@ -253,12 +244,6 @@ void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
     const std::int64_t gid_vac = model_.site_rank_of(vac);
     const std::int64_t gid_atom = model_.site_rank_of(nb);
     const SiteState atom = model_.state(nb);
-    if (cfg_.debug_events) {
-      std::fprintf(stderr, "[ev] cyc %llu sec %d rank %d: vac %lld <-> %lld (%d)\n",
-                   static_cast<unsigned long long>(cycle), sector, model_.rank(),
-                   static_cast<long long>(gid_vac),
-                   static_cast<long long>(gid_atom), static_cast<int>(atom));
-    }
     if (cfg_.record_events) event_log_.emplace_back(gid_vac, gid_atom);
     model_.set_state_global(gid_vac, atom);
     model_.set_state_global(gid_atom, SiteState::Vacancy);
@@ -286,20 +271,25 @@ void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
     model_.images_of_global(gid, images);
     updates.push_back({gid, static_cast<std::int32_t>(model_.state(images[0])), 0});
   }
-  comp_.stop();
+  return updates;
+}
 
-  comm_time_.start();
+void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
+                               std::uint64_t cycle) {
+  MMD_TRACE_SCOPE("kmc.sector");
+  const std::uint64_t events_before = stats_.events;
   {
-    MMD_TRACE_SCOPE("kmc.ghost.after");
+    MMD_TRACE_SCOPE_CHARGE("kmc.ghost.before", comm_s_);
+    ghosts_.before_sector(comm, model_, sector);
+  }
+  const std::vector<SiteUpdate> updates = execute_sector(sector, dt, cycle);
+  {
+    MMD_TRACE_SCOPE_CHARGE("kmc.ghost.after", comm_s_);
     ghosts_.after_sector(comm, model_, sector, updates);
   }
-  comm_time_.stop();
 
   const std::uint64_t executed = stats_.events - events_before;
   if (executed > 0) telemetry::count("kmc.events", executed);
-  if (executed > 0 && !cfg_.debug_events) {
-    telemetry::count("kmc.events.debug_suppressed", executed);
-  }
   telemetry::observe("kmc.sector_events", static_cast<double>(executed));
   // Event-table bookkeeping counters, accumulated per event and flushed once
   // per sector to keep registry lookups off the hot loop.
@@ -328,13 +318,11 @@ std::uint64_t KmcEngine::run_cycles(comm::Comm& comm, int n) {
     // Time synchronization (paper: "collective operations used for time
     // synchronization"): dt derives from the fastest event seen globally in
     // the previous cycle, bounded by the analytic maximum.
-    comm_time_.start();
     double k_max = 0.0;
     {
-      MMD_TRACE_SCOPE("kmc.dt_sync");
+      MMD_TRACE_SCOPE_CHARGE("kmc.dt_sync", comm_s_);
       k_max = comm.allreduce_max(last_max_rate_);
     }
-    comm_time_.stop();
     if (k_max <= 0.0) k_max = k_bound;
     const double dt = cfg_.dt_scale / k_max;
     last_max_rate_ = 0.0;

@@ -11,7 +11,6 @@
 #include "kmc/model.h"
 #include "kmc/slave_rates.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace mmd::kmc {
 
@@ -95,8 +94,12 @@ class KmcEngine {
   /// Global vacancy concentration C_MC (collective).
   double vacancy_concentration(comm::Comm& comm) const;
 
-  double computation_seconds() const { return comp_.total(); }
-  double communication_seconds() const { return comm_time_.total(); }
+  /// Wall-clock split between computation and communication since
+  /// construction: the summed lengths of the engine's compute- and
+  /// comm-charged spans (docs/OBSERVABILITY.md), charged whether or not a
+  /// tracer is attached.
+  double computation_seconds() const { return comp_s_; }
+  double communication_seconds() const { return comm_s_; }
 
   /// Attach the slave-core rate kernel (nullptr restores the master-core
   /// path). Event energetics are identical either way.
@@ -146,6 +149,12 @@ class KmcEngine {
   /// invalid), so checkpoints carry no rate state.
   void finish_initialize(comm::Comm& comm);
 
+  /// The sector's local event phase: load the table, select and execute
+  /// events until the sector clock passes dt, and return the final states of
+  /// the touched sites for the ghost update.
+  std::vector<SiteUpdate> execute_sector(int sector, double dt,
+                                         std::uint64_t cycle);
+
   void process_sector(comm::Comm& comm, int sector, double dt,
                       std::uint64_t cycle);
 
@@ -157,8 +166,8 @@ class KmcEngine {
   KmcStats stats_;
   double last_max_rate_ = 0.0;
   bool initialized_ = false;
-  mutable util::AccumTimer comp_;
-  mutable util::AccumTimer comm_time_;
+  double comp_s_ = 0.0;
+  double comm_s_ = 0.0;
 
   // --- incremental event-table state (reused scratch, no per-event allocs) ---
   EventTable table_;  ///< per-sector transient

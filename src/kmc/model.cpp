@@ -37,7 +37,6 @@ KmcModel::KmcModel(const KmcConfig& cfg, const lat::BccGeometry& geo,
     for (const auto& o : offsets_[sub]) {
       deltas_[sub].push_back(box_.flat_delta(o.dx, o.dy, o.dz, o.to_sub - sub));
     }
-    nn_deltas_[sub].assign(deltas_[sub].begin(), deltas_[sub].begin() + 8);
   }
   // Sanity: the first 8 offsets of a BCC lattice are the 1NN shell at
   // sqrt(3)/2 * a.

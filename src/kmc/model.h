@@ -43,9 +43,6 @@ struct KmcConfig {
   /// `kmc.incremental`). Both paths share the same partial-sum tree for
   /// totals and selection, so the event sequence is bit-identical.
   bool incremental = true;
-  /// Per-event stderr logging (scenario key `kmc.debug_events`); when off,
-  /// suppressed events are counted under `kmc.events.debug_suppressed`.
-  bool debug_events = false;
   /// Test hook: record every executed event's (vacancy gid, atom gid) pair
   /// in KmcEngine::event_log() for sequence-equivalence assertions.
   bool record_events = false;
@@ -147,9 +144,6 @@ class KmcModel {
   const std::vector<std::int64_t>& cutoff_deltas(int sub) const {
     return deltas_[sub];
   }
-  const std::vector<std::int64_t>& nn_deltas(int sub) const {
-    return nn_deltas_[sub];
-  }
 
   /// Owned entry indices (rank order).
   const std::vector<std::size_t>& owned_indices() const { return owned_; }
@@ -215,7 +209,6 @@ class KmcModel {
   std::vector<lat::SiteOffset> offsets_[2];
   std::vector<lat::SiteOffset> nn_[2];
   std::vector<std::int64_t> deltas_[2];
-  std::vector<std::int64_t> nn_deltas_[2];
   double kT_;
 };
 

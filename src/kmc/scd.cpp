@@ -8,7 +8,6 @@
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/stats.h"
-#include "util/timer.h"
 
 namespace mmd::kmc {
 
@@ -156,10 +155,9 @@ void ScdStage::set_window(std::uint64_t window_index, double time_budget_s) {
   time_budget_s_ = std::max(time_budget_s, 0.0);
 }
 
-core::StageReport ScdStage::advance(comm::Comm& comm, core::StageState& state,
-                                    core::StageClock& clock) {
+void ScdStage::advance(comm::Comm& comm, core::StageState& state,
+                       core::StageClock& clock) {
   MMD_TRACE_SCOPE("sim.scd");
-  util::Timer wall;
   std::uint64_t events = 0;
   if (comm.rank() == 0) {
     const ClusterStats census = cluster_vacancies(geo_, state.vacancies_after);
@@ -189,7 +187,6 @@ core::StageReport ScdStage::advance(comm::Comm& comm, core::StageState& state,
   }
   state.sampled.replicates = replicates_;
   clock.scd_time_s += time_budget_s_;
-  return {name(), wall.elapsed(), events};
 }
 
 }  // namespace mmd::kmc

@@ -98,8 +98,8 @@ class ScdStage : public core::StagePropagator {
   /// `time_budget_s` is the MC time the stride covers.
   void set_window(std::uint64_t window_index, double time_budget_s);
 
-  core::StageReport advance(comm::Comm& comm, core::StageState& state,
-                            core::StageClock& clock) override;
+  void advance(comm::Comm& comm, core::StageState& state,
+               core::StageClock& clock) override;
 
  private:
   const lat::BccGeometry& geo_;

@@ -169,7 +169,6 @@ class LatticeNeighborList {
   /// its nearest lattice point. Must be below the MD detach threshold, or a
   /// freshly detached atom would immediately re-attach.
   double reattach_threshold() const { return reattach_threshold_; }
-  void set_reattach_threshold(double t) { reattach_threshold_ = t; }
 
   /// Visit every live run-away chained to an owned entry as (node index,
   /// host entry index).

@@ -70,9 +70,6 @@ class SoaPlanes {
     return {x_[s], y_[s], z_[s]};
   }
   double packed_id(std::size_t entry_idx) const { return id_[slot(entry_idx)]; }
-  double packed_fprime(std::size_t entry_idx) const {
-    return fprime_[slot(entry_idx)];
-  }
 
  private:
   std::vector<double> x_, y_, z_, fprime_, id_;

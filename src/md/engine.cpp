@@ -36,8 +36,8 @@ MdEngine::MdEngine(const MdConfig& cfg, const lat::BccGeometry& geo,
       ref_force_(tables) {}
 
 void MdEngine::initialize(comm::Comm& comm) {
-  comp_.clear();
-  comm_time_.clear();
+  comp_s_ = 0.0;
+  comm_s_ = 0.0;
   time_ = 0.0;
   lnl_.fill_perfect(lat::Species::Fe);
   // Maxwell-Boltzmann velocities; each atom draws from a stream derived from
@@ -51,9 +51,10 @@ void MdEngine::initialize(comm::Comm& comm) {
     util::Rng rng = base.split(static_cast<std::uint64_t>(e.id));
     e.v = {v_scale * rng.normal(), v_scale * rng.normal(), v_scale * rng.normal()};
   }
-  comm_time_.start();
-  ghosts_.exchange(comm);
-  comm_time_.stop();
+  {
+    MMD_TRACE_SCOPE_CHARGE("md.ghost.refresh", comm_s_);
+    ghosts_.exchange(comm);
+  }
   // Observability: how wide the force kernels run (4 = AVX2 doubles, 1 =
   // scalar). Per-sweep table residency can still drop a vectorized sweep to
   // scalar; that shows up in sw.table.fallback instead.
@@ -75,9 +76,8 @@ void MdEngine::inject_pka(comm::Comm& comm, std::int64_t site_rank,
     }
   }
   // Refresh ghost copies so neighbor ranks see the new velocity immediately.
-  comm_time_.start();
+  MMD_TRACE_SCOPE_CHARGE("md.ghost.refresh", comm_s_);
   ghosts_.exchange(comm);
-  comm_time_.stop();
 }
 
 void MdEngine::seed_solutes(comm::Comm& comm, double fraction,
@@ -93,9 +93,10 @@ void MdEngine::seed_solutes(comm::Comm& comm, double fraction,
     util::Rng rng = base.split(static_cast<std::uint64_t>(e.id));
     if (rng.uniform() < fraction) e.type = solute;
   }
-  comm_time_.start();
-  ghosts_.exchange(comm);
-  comm_time_.stop();
+  {
+    MMD_TRACE_SCOPE_CHARGE("md.ghost.refresh", comm_s_);
+    ghosts_.exchange(comm);
+  }
   compute_all_forces(comm);
 }
 
@@ -105,29 +106,27 @@ void MdEngine::step(comm::Comm& comm) {
   // every rank integrates with the same dt).
   double dt = cfg_.dt;
   if (cfg_.max_displacement > 0.0) {
-    comp_.start();
     double v2_max = 0.0;
-    for (std::size_t idx : lnl_.owned_indices()) {
-      const lat::AtomEntry& e = lnl_.entry(idx);
-      if (e.is_atom()) v2_max = std::max(v2_max, e.v.norm2());
+    {
+      MMD_TRACE_SCOPE_CHARGE("md.dt_scan", comp_s_);
+      for (std::size_t idx : lnl_.owned_indices()) {
+        const lat::AtomEntry& e = lnl_.entry(idx);
+        if (e.is_atom()) v2_max = std::max(v2_max, e.v.norm2());
+      }
+      lnl_.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
+        v2_max = std::max(v2_max, lnl_.runaway(ri).v.norm2());
+      });
     }
-    lnl_.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
-      v2_max = std::max(v2_max, lnl_.runaway(ri).v.norm2());
-    });
-    comp_.stop();
-    comm_time_.start();
     double v_max = 0.0;
     {
-      MMD_TRACE_SCOPE("md.dt_sync");
+      MMD_TRACE_SCOPE_CHARGE("md.dt_sync", comm_s_);
       v_max = std::sqrt(comm.allreduce_max(v2_max));
     }
-    comm_time_.stop();
     if (v_max * dt > cfg_.max_displacement) dt = cfg_.max_displacement / v_max;
   }
   const double kick0 = 0.5 * dt * util::units::kForceToAccel;
-  comp_.start();
   {
-    MMD_TRACE_SCOPE("md.integrate");
+    MMD_TRACE_SCOPE_CHARGE("md.integrate", comp_s_);
     for (std::size_t idx : lnl_.owned_indices()) {
       lat::AtomEntry& e = lnl_.entry(idx);
       if (!e.is_atom()) continue;
@@ -141,36 +140,35 @@ void MdEngine::step(comm::Comm& comm) {
     });
     time_ += dt;
   }
-  comp_.stop();
 
   detach_and_rehome(comm);
   compute_all_forces(comm);
 
-  comp_.start();
+  // Berendsen velocity rescale toward the target temperature. Its
+  // temperature() allreduce is charged to neither side of the split.
   double scale = 1.0;
   if (cfg_.thermostat_rate > 0.0) {
-    // Berendsen velocity rescale toward the target temperature.
-    comp_.stop();
     const double t_now = temperature(comm);
-    comp_.start();
     if (t_now > 0.0) {
       const double lambda2 =
           1.0 + cfg_.thermostat_rate * (cfg_.temperature / t_now - 1.0);
       scale = std::sqrt(std::max(0.1, lambda2));
     }
   }
-  for (std::size_t idx : lnl_.owned_indices()) {
-    lat::AtomEntry& e = lnl_.entry(idx);
-    if (!e.is_atom()) continue;
-    e.v += e.f * (kick0 / cfg_.mass_of(e.type));
-    e.v *= scale;
+  {
+    MMD_TRACE_SCOPE_CHARGE("md.kick", comp_s_);
+    for (std::size_t idx : lnl_.owned_indices()) {
+      lat::AtomEntry& e = lnl_.entry(idx);
+      if (!e.is_atom()) continue;
+      e.v += e.f * (kick0 / cfg_.mass_of(e.type));
+      e.v *= scale;
+    }
+    lnl_.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
+      lat::RunawayAtom& a = lnl_.runaway(ri);
+      a.v += a.f * (kick0 / cfg_.mass_of(a.type));
+      a.v *= scale;
+    });
   }
-  lnl_.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
-    lat::RunawayAtom& a = lnl_.runaway(ri);
-    a.v += a.f * (kick0 / cfg_.mass_of(a.type));
-    a.v *= scale;
-  });
-  comp_.stop();
   telemetry::count("md.steps");
 }
 
@@ -184,11 +182,10 @@ void MdEngine::run_for(comm::Comm& comm, double duration_ps) {
 }
 
 void MdEngine::detach_and_rehome(comm::Comm& comm) {
-  comp_.start();
   const double thr2 = cfg_.detach_threshold * cfg_.detach_threshold;
   std::vector<lat::RunawayAtom> emigrants;
   {
-    MMD_TRACE_SCOPE("md.rehome");
+    MMD_TRACE_SCOPE_CHARGE("md.rehome", comp_s_);
     for (std::size_t idx : lnl_.owned_indices()) {
       lat::AtomEntry& e = lnl_.entry(idx);
       if (!e.is_atom()) continue;
@@ -198,13 +195,8 @@ void MdEngine::detach_and_rehome(comm::Comm& comm) {
     }
     lnl_.rehome_runaways(&emigrants);
   }
-  comp_.stop();
-  comm_time_.start();
-  {
-    MMD_TRACE_SCOPE("md.ghost.exchange");
-    ghosts_.exchange(comm, std::move(emigrants));
-  }
-  comm_time_.stop();
+  MMD_TRACE_SCOPE_CHARGE("md.ghost.exchange", comm_s_);
+  ghosts_.exchange(comm, std::move(emigrants));
 }
 
 void MdEngine::compute_all_forces(comm::Comm& comm) {
@@ -218,28 +210,20 @@ void MdEngine::compute_all_forces(comm::Comm& comm) {
       call(ref_force_);
     }
   };
-  comp_.start();
   {
-    MMD_TRACE_SCOPE("md.force.rho");
+    MMD_TRACE_SCOPE_CHARGE("md.force.rho", comp_s_);
     kernel([&](auto& k) { k.compute_rho(lnl_); });
   }
-  comp_.stop();
 
   if (comm.size() == 1) {
     // Single rank: the rho "exchange" is a local periodic copy with nothing
     // in flight to hide, so keep the plain sequential shape.
-    comm_time_.start();
     {
-      MMD_TRACE_SCOPE("md.ghost.rho");
+      MMD_TRACE_SCOPE_CHARGE("md.ghost.rho", comm_s_);
       ghosts_.exchange_rho(comm);
     }
-    comm_time_.stop();
-    comp_.start();
-    {
-      MMD_TRACE_SCOPE("md.force.eam");
-      kernel([&](auto& k) { k.compute_forces(lnl_); });
-    }
-    comp_.stop();
+    MMD_TRACE_SCOPE_CHARGE("md.force.eam", comp_s_);
+    kernel([&](auto& k) { k.compute_forces(lnl_); });
     return;
   }
 
@@ -248,30 +232,20 @@ void MdEngine::compute_all_forces(comm::Comm& comm) {
   // messages travel, then complete the exchange and sweep the boundary
   // shell + run-aways, which do read ghost rho.
   std::optional<lat::GhostExchange::RhoFlight> flight;
-  comm_time_.start();
   {
-    MMD_TRACE_SCOPE("md.ghost.rho");
+    MMD_TRACE_SCOPE_CHARGE("md.ghost.rho", comm_s_);
     flight = ghosts_.begin_exchange_rho(comm);
   }
-  comm_time_.stop();
-  comp_.start();
   {
-    MMD_TRACE_SCOPE("md.force.eam.interior");
+    MMD_TRACE_SCOPE_CHARGE("md.force.eam.interior", comp_s_);
     kernel([&](auto& k) { k.compute_forces_interior(lnl_); });
   }
-  comp_.stop();
-  comm_time_.start();
   {
-    MMD_TRACE_SCOPE("comm.wait");
+    MMD_TRACE_SCOPE_CHARGE("comm.wait", comm_s_);
     ghosts_.finish_exchange_rho(comm, *flight);
   }
-  comm_time_.stop();
-  comp_.start();
-  {
-    MMD_TRACE_SCOPE("md.force.eam");
-    kernel([&](auto& k) { k.compute_forces_boundary(lnl_); });
-  }
-  comp_.stop();
+  MMD_TRACE_SCOPE_CHARGE("md.force.eam", comp_s_);
+  kernel([&](auto& k) { k.compute_forces_boundary(lnl_); });
 }
 
 double MdEngine::local_kinetic() const {

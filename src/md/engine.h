@@ -13,7 +13,6 @@
 #include "md/reference_force.h"
 #include "potential/eam.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace mmd::md {
 
@@ -99,9 +98,11 @@ class MdEngine {
   int rank() const { return rank_; }
 
   /// Wall-clock split between computation and communication since
-  /// initialize(), for the scaling benches.
-  double computation_seconds() const { return comp_.total(); }
-  double communication_seconds() const { return comm_time_.total(); }
+  /// initialize(), for the scaling benches: the summed lengths of the
+  /// engine's compute- and comm-charged spans (docs/OBSERVABILITY.md),
+  /// charged whether or not a tracer is attached.
+  double computation_seconds() const { return comp_s_; }
+  double communication_seconds() const { return comm_s_; }
 
  private:
   void compute_all_forces(comm::Comm& comm);
@@ -117,8 +118,8 @@ class MdEngine {
   ReferenceForce ref_force_;
   SlaveForceCompute* slave_ = nullptr;
   double time_ = 0.0;
-  mutable util::AccumTimer comp_;
-  mutable util::AccumTimer comm_time_;
+  double comp_s_ = 0.0;
+  double comm_s_ = 0.0;
 };
 
 /// Build the geometry/decomposition pair implied by a config. Throws if the

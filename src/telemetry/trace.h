@@ -103,22 +103,26 @@ class Tracer {
 };
 
 /// RAII scoped span: records [construction, destruction) onto the calling
-/// thread's track. A no-op (two branch instructions) when the thread is not
-/// attached to a tracer, so library code can trace unconditionally.
+/// thread's track and, given a `seconds` sink, adds the span's length to it
+/// (1e-9 · (t1_ns − t0_ns), from the same two clock reads). The sink is
+/// charged with or without a tracer; with neither, the span is a no-op (two
+/// branch instructions), so library code can trace unconditionally.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name) : tracer_(Tracer::calling_thread_tracer()) {
-    if (tracer_ != nullptr) {
-      track_ = Tracer::calling_thread_track();
-      ev_.name = name;
-      ev_.t0_ns = tracer_->now_ns();
-    }
+  explicit ScopedSpan(const char* name, double* seconds = nullptr)
+      : tracer_(Tracer::calling_thread_tracer()), seconds_(seconds) {
+    if (tracer_ == nullptr && seconds_ == nullptr) return;
+    if (tracer_ != nullptr) track_ = Tracer::calling_thread_track();
+    ev_.name = name;
+    ev_.t0_ns = now_ns();
   }
 
   ~ScopedSpan() {
-    if (tracer_ != nullptr) {
-      ev_.t1_ns = tracer_->now_ns();
-      tracer_->record(track_, ev_);
+    if (tracer_ == nullptr && seconds_ == nullptr) return;
+    ev_.t1_ns = now_ns();
+    if (tracer_ != nullptr) tracer_->record(track_, ev_);
+    if (seconds_ != nullptr) {
+      *seconds_ += 1e-9 * static_cast<double>(ev_.t1_ns - ev_.t0_ns);
     }
   }
 
@@ -132,7 +136,17 @@ class ScopedSpan {
   }
 
  private:
+  /// Tracer-relative when tracing; untraced sinks only need differences.
+  std::uint64_t now_ns() const {
+    if (tracer_ != nullptr) return tracer_->now_ns();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  }
+
   Tracer* tracer_;
+  double* seconds_;
   TrackId track_;
   TraceEvent ev_;
 };
@@ -144,5 +158,12 @@ class ScopedSpan {
 /// docs/OBSERVABILITY.md for the span naming conventions.
 #define MMD_TRACE_SCOPE(name) \
   ::mmd::telemetry::ScopedSpan MMD_TRACE_CONCAT(mmd_trace_span_, __LINE__)(name)
+
+/// Scoped phase span that also adds its length in seconds to the `double`
+/// lvalue `seconds`, traced or not — how the engines charge their
+/// compute/comm split, e.g. MMD_TRACE_SCOPE_CHARGE("md.force.rho", comp_s_).
+#define MMD_TRACE_SCOPE_CHARGE(name, seconds)                                 \
+  ::mmd::telemetry::ScopedSpan MMD_TRACE_CONCAT(mmd_trace_span_, __LINE__)( \
+      name, &(seconds))
 
 }  // namespace mmd::telemetry

@@ -21,34 +21,4 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates wall time across multiple start/stop intervals; used to split
-/// computation time from communication time in the scaling benches.
-///
-/// Interval discipline: `start()` while an interval is already open closes it
-/// first (the open time is accumulated, never discarded); `stop()` without a
-/// matching `start()` is a documented no-op.
-class AccumTimer {
- public:
-  void start() {
-    if (running_) total_ += t_.elapsed();
-    t_.reset();
-    running_ = true;
-  }
-
-  void stop() {
-    if (running_) {
-      total_ += t_.elapsed();
-      running_ = false;
-    }
-  }
-
-  double total() const { return total_; }
-  void clear() { total_ = 0.0; running_ = false; }
-
- private:
-  Timer t_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
 }  // namespace mmd::util

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "core/scenario.h"
 #include "core/simulation.h"
@@ -139,6 +141,39 @@ TEST(Simulation, ParallelMatchesSerialDefectCounts) {
   const auto rp = parallel.run();
   EXPECT_EQ(rs.md_defects.vacancies, rp.md_defects.vacancies);
   EXPECT_EQ(rs.md_defects.interstitials, rp.md_defects.interstitials);
+}
+
+TEST(Simulation, SplitGaugesFitInsideStageTimes) {
+  // The split is charged by spans inside each stage's advance(), which
+  // Pipeline::run times, so on every rank it cannot exceed its stage.
+  SimulationConfig cfg = tiny_config();
+  cfg.md_time_ps = 0.03;
+  cfg.kmc_cycles = 4;
+  cfg.nranks = 2;
+  telemetry::Session::Options opts;
+  opts.install_global = false;
+  telemetry::Session session(cfg.nranks, opts);
+  SimulationReport report;
+  {
+    telemetry::Session::ThreadScope scope(&session);
+    report = Simulation(cfg).run();
+  }
+  for (int r = 0; r < cfg.nranks; ++r) {
+    const auto& g = session.metrics().rank(r).gauges;
+    for (const auto& [layer, stage] :
+         {std::pair{"md", "md_cascade"}, std::pair{"kmc", "kmc"}}) {
+      const std::string l(layer);
+      const double compute = g.at(l + ".compute_seconds");
+      const double comm = g.at(l + ".comm_seconds");
+      EXPECT_GT(compute, 0.0) << l << " rank " << r;
+      EXPECT_GT(comm, 0.0) << l << " rank " << r;
+      EXPECT_LE(compute + comm, g.at(std::string("stage.") + stage + ".seconds"))
+          << l << " rank " << r;
+    }
+  }
+  const auto agg = session.metrics().aggregate();
+  EXPECT_EQ(report.md_seconds, agg.gauge_maximum("stage.md_cascade.seconds"));
+  EXPECT_EQ(report.kmc_seconds, agg.gauge_maximum("stage.kmc.seconds"));
 }
 
 TEST(Simulation, ReportToStringMentionsKeyNumbers) {

@@ -77,7 +77,6 @@ kmc::KmcConfig kmc_config_from(const core::SimulationConfig& cfg) {
   k.dt_scale = cfg.kmc_dt_scale;
   k.table_segments = cfg.kmc_table_segments;
   k.incremental = cfg.kmc_incremental;
-  k.debug_events = cfg.kmc_debug_events;
   return k;
 }
 

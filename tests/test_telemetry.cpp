@@ -222,6 +222,41 @@ TEST(Tracer, RecordsScopedSpans) {
   EXPECT_GE(t->ring[1].t1_ns, t->ring[0].t1_ns);
 }
 
+TEST(Tracer, ChargedSpanAddsItsRecordedLength) {
+  Tracer tracer(1, 1, 16);
+  tracer.attach_calling_thread(0, 0);
+  double seconds = 0.25;
+  {
+    MMD_TRACE_SCOPE_CHARGE("charged", seconds);
+    volatile double x = 0;
+    for (int i = 0; i < 10000; ++i) x = x + 1.0;
+  }
+  Tracer::detach_calling_thread();
+
+  const Tracer::Track* t = tracer.track(0);
+  ASSERT_NE(t, nullptr);
+  ASSERT_EQ(t->recorded, 1u);
+  const TraceEvent& ev = t->ring[0];
+  EXPECT_STREQ(ev.name, "charged");
+  EXPECT_GT(ev.t1_ns, ev.t0_ns);
+  EXPECT_EQ(seconds, 0.25 + 1e-9 * static_cast<double>(ev.t1_ns - ev.t0_ns));
+}
+
+TEST(Tracer, ChargedSpanChargesWithoutTracer) {
+  Tracer tracer(1, 1, 16);
+  tracer.attach_calling_thread(0, 0);
+  { MMD_TRACE_SCOPE("recorded"); }
+  Tracer::detach_calling_thread();
+  double seconds = 0.0;
+  {
+    MMD_TRACE_SCOPE_CHARGE("untraced", seconds);
+    volatile double x = 0;
+    for (int i = 0; i < 10000; ++i) x = x + 1.0;
+  }
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_EQ(tracer.track(0)->recorded, 1u);
+}
+
 TEST(Tracer, RingWrapsAndCountsDrops) {
   Tracer tracer(1, 1, 4);
   tracer.attach_calling_thread(0, 0);

@@ -7,7 +7,6 @@
 
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/timer.h"
 #include "util/units.h"
 #include "util/vec3.h"
 
@@ -301,46 +300,6 @@ TEST(Units, ForceAccelConversionConsistency) {
   EXPECT_NEAR(units::kForceToAccel * units::kVel2ToEnergy, 1.0, 1e-12);
   // kB at room temperature ~ 0.0259 eV / 300 K.
   EXPECT_NEAR(units::kBoltzmann * 300.0, 0.02585, 1e-4);
-}
-
-TEST(Timer, AccumulatesIntervals) {
-  AccumTimer t;
-  t.start();
-  volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x = x + 1.0;
-  t.stop();
-  EXPECT_GT(t.total(), 0.0);
-  const double after_first = t.total();
-  t.start();
-  t.stop();
-  EXPECT_GE(t.total(), after_first);
-  t.clear();
-  EXPECT_EQ(t.total(), 0.0);
-}
-
-TEST(Timer, StopWithoutStartIsNoop) {
-  AccumTimer t;
-  t.stop();
-  EXPECT_EQ(t.total(), 0.0);
-  t.start();
-  t.stop();
-  t.stop();  // second stop: interval already closed, still a no-op
-  const double closed = t.total();
-  EXPECT_EQ(t.total(), closed);
-}
-
-TEST(Timer, RestartAccumulatesOpenInterval) {
-  // start() on a running timer must fold the open interval into the total
-  // (historically it silently discarded it).
-  AccumTimer t;
-  t.start();
-  Timer ref;
-  volatile double x = 0;
-  for (int i = 0; i < 200000; ++i) x = x + 1.0;
-  const double open_for_at_least = ref.elapsed();
-  t.start();  // restart: the interval above must not be lost
-  t.stop();
-  EXPECT_GE(t.total(), open_for_at_least);
 }
 
 }  // namespace
