@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "io/checkpoint.h"
@@ -19,64 +20,10 @@ namespace mmd::core {
 
 namespace {
 
-/// Collective: write one checkpoint epoch (per-rank file, then a manifest
-/// commit on rank 0 once every rank's write landed). A failed write on any
-/// rank abandons the epoch — the run degrades to the previous good one
-/// instead of aborting. The META section carries the stage tag and the
-/// sampled-schedule position so a sampled run resumes mid-window.
-void save_checkpoint_epoch(comm::Comm& comm, io::CheckpointStore& store,
-                           const SimulationConfig& cfg, std::uint64_t epoch,
-                           md::MdEngine& md_engine, kmc::KmcEngine& kmc_engine,
-                           const StageState& state, const StageClock& clock) {
-  MMD_TRACE_SCOPE("sim.checkpoint");
-  util::Timer t;
-  std::ostringstream os;
-  io::Checkpoint::write_file_header(os);
-  io::Checkpoint::MetaState meta;
-  meta.rank = comm.rank();
-  meta.nranks = comm.size();
-  meta.seed = cfg.md.seed;
-  meta.md_time_ps = md_engine.simulated_time();
-  const kmc::KmcEngineState st = kmc_engine.engine_state();
-  meta.kmc_cycles = st.cycles;
-  meta.kmc_events = st.events;
-  meta.kmc_mc_time = st.mc_time;
-  meta.kmc_last_max_rate = st.last_max_rate;
-  meta.kmc_rng_state = st.rng_state;
-  meta.stage_tag = cfg.sampling.enabled() ? "sampling" : "kmc";
-  meta.sample_windows = state.sampled.windows;
-  meta.scd_time_s = clock.scd_time_s;
-  meta.sample_est_clusters = state.sampled.est_clusters;
-  meta.sample_ci_halfwidth = state.sampled.ci_halfwidth;
-  io::Checkpoint::write_meta_section(os, meta);
-  io::Checkpoint::write_md_section(os, md_engine.lattice(),
-                                   md_engine.simulated_time());
-  io::Checkpoint::write_kmc_section(os, kmc_engine.model(), st.mc_time);
-  const std::string blob = os.str();
-  const bool ok = store.write_rank_blob(epoch, comm.rank(), blob);
-  telemetry::count("ckpt.bytes", blob.size());
-  telemetry::observe("ckpt.write_seconds", t.elapsed());
-  const std::uint64_t failures = comm.allreduce_sum_u64(ok ? 0u : 1u);
-  if (failures == 0) {
-    if (comm.rank() == 0) {
-      if (store.commit_epoch(epoch)) {
-        telemetry::count("ckpt.epochs");
-      } else {
-        telemetry::count("ckpt.failed_epochs");
-      }
-    }
-  } else {
-    store.discard_rank_blob(epoch, comm.rank());
-    if (comm.rank() == 0) {
-      telemetry::count("ckpt.failed_epochs");
-      std::fprintf(stderr,
-                   "mmd: checkpoint epoch %llu failed on %llu rank(s); "
-                   "keeping the previous epoch\n",
-                   static_cast<unsigned long long>(epoch),
-                   static_cast<unsigned long long>(failures));
-    }
-  }
-  comm.barrier();
+/// The META stage tag: the name of the stage that runs the KMC side, so a
+/// sampled epoch never resumes under the all-detailed schedule or back.
+const char* stage_tag(const SimulationConfig& cfg) {
+  return cfg.sampling.enabled() ? "sampling" : "kmc";
 }
 
 }  // namespace
@@ -86,13 +33,17 @@ StagePropagator& Pipeline::add(std::unique_ptr<StagePropagator> stage) {
   return *stages_.back();
 }
 
-void Pipeline::run(comm::Comm& comm, StageState& state, StageClock& clock) {
+std::vector<double> Pipeline::run(comm::Comm& comm, StageState& state,
+                                  StageClock& clock) {
+  std::vector<double> seconds;
   for (auto& stage : stages_) {
     const util::Timer wall;
     stage->advance(comm, state, clock);
+    seconds.push_back(wall.elapsed());
     telemetry::set_gauge(std::string("stage.") + stage->name() + ".seconds",
-                         wall.elapsed());
+                         seconds.back());
   }
+  return seconds;
 }
 
 // --- MdCascadeStage ---
@@ -167,8 +118,113 @@ void KmcStage::run_detailed(comm::Comm& comm, StageState& state,
     done_ += chunk;
     if (store_ != nullptr && cfg_.checkpoint_every > 0 &&
         done_ % static_cast<std::uint64_t>(cfg_.checkpoint_every) == 0) {
-      save_checkpoint_epoch(comm, *store_, cfg_, done_, md_, kmc_, state,
-                            clock);
+      save_epoch(comm, state, clock);
+    }
+  }
+}
+
+void KmcStage::save_epoch(comm::Comm& comm, const StageState& state,
+                          const StageClock& clock) {
+  MMD_TRACE_SCOPE("sim.checkpoint");
+  util::Timer t;
+  std::ostringstream os;
+  io::Checkpoint::write_file_header(os);
+  io::Checkpoint::MetaState meta;
+  meta.rank = comm.rank();
+  meta.nranks = comm.size();
+  meta.seed = cfg_.md.seed;
+  meta.md_time_ps = md_.simulated_time();
+  meta.kmc = kmc_.engine_state();
+  meta.stage_tag = stage_tag(cfg_);
+  meta.sample_windows = state.sampled.windows;
+  meta.scd_time_s = clock.scd_time_s;
+  meta.sample_est_clusters = state.sampled.est_clusters;
+  meta.sample_ci_halfwidth = state.sampled.ci_halfwidth;
+  io::Checkpoint::write_meta_section(os, meta);
+  io::Checkpoint::write_md_section(os, md_.lattice(), md_.simulated_time());
+  io::Checkpoint::write_kmc_section(os, kmc_.model(), meta.kmc.mc_time);
+  const std::string blob = os.str();
+  const bool ok = store_->write_rank_blob(done_, comm.rank(), blob);
+  telemetry::count("ckpt.bytes", blob.size());
+  telemetry::observe("ckpt.write_seconds", t.elapsed());
+  const std::uint64_t failures = comm.allreduce_sum_u64(ok ? 0u : 1u);
+  if (failures == 0) {
+    if (comm.rank() == 0) {
+      if (store_->commit_epoch(done_)) {
+        telemetry::count("ckpt.epochs");
+      } else {
+        telemetry::count("ckpt.failed_epochs");
+      }
+    }
+  } else {
+    store_->discard_rank_blob(done_, comm.rank());
+    if (comm.rank() == 0) {
+      telemetry::count("ckpt.failed_epochs");
+      std::fprintf(stderr,
+                   "mmd: checkpoint epoch %llu failed on %llu rank(s); "
+                   "keeping the previous epoch\n",
+                   static_cast<unsigned long long>(done_),
+                   static_cast<unsigned long long>(failures));
+    }
+  }
+  comm.barrier();
+}
+
+void KmcStage::resume(comm::Comm& comm, StageState& state, StageClock& clock,
+                      const std::vector<std::uint64_t>& epochs) {
+  for (const std::uint64_t epoch : epochs) {
+    io::Checkpoint::MetaState meta;
+    bool ok = true;
+    std::string error;
+    try {
+      const auto blob = store_->read_rank_blob(epoch, comm.rank());
+      if (!blob) throw std::runtime_error("missing rank file");
+      std::istringstream is(*blob);
+      io::Checkpoint::read_file_header(is);
+      meta = io::Checkpoint::read_meta_section(is);
+      if (meta.rank != comm.rank() || meta.nranks != comm.size() ||
+          meta.seed != cfg_.md.seed || meta.stage_tag != stage_tag(cfg_)) {
+        throw std::runtime_error(
+            "checkpoint was written by a different run configuration");
+      }
+      md_.set_simulated_time(io::Checkpoint::read_md_section(is, md_.lattice()));
+      io::Checkpoint::read_kmc_section(is, kmc_.model());
+    } catch (const std::exception& e) {
+      ok = false;
+      error = e.what();
+    }
+    if (comm.allreduce_sum_u64(ok ? 0u : 1u) == 0) {
+      kmc_.restore_state(comm, meta.kmc);
+      // Events executed before the checkpoint re-enter the registry so a
+      // resumed run's metrics carry the same totals as an uninterrupted one.
+      if (meta.kmc.events > 0) telemetry::count("kmc.events", meta.kmc.events);
+      telemetry::count("ckpt.resumed_ranks");
+      state.restored = true;
+      state.restored_cycles = meta.kmc.cycles;
+      // Sampled-schedule position: the scheduler re-enters the window/
+      // stride loop exactly where the interrupted run left off.
+      state.sampled.windows = meta.sample_windows;
+      state.sampled.est_clusters = meta.sample_est_clusters;
+      state.sampled.ci_halfwidth = meta.sample_ci_halfwidth;
+      if (cfg_.sampling.enabled()) {
+        state.sampled.replicates = cfg_.sampling.replicates;
+      }
+      clock.scd_time_s = meta.scd_time_s;
+      return;
+    }
+    telemetry::count("ckpt.load_fallbacks");
+    if (!ok) {
+      std::fprintf(stderr,
+                   "mmd: rank %d: checkpoint epoch %llu rejected (%s); "
+                   "falling back\n",
+                   comm.rank(), static_cast<unsigned long long>(epoch),
+                   error.c_str());
+    }
+  }
+  if (!epochs.empty()) {
+    // A partially-applied failed load must not leak into a fresh run.
+    for (std::size_t i = 0; i < kmc_.model().size(); ++i) {
+      kmc_.model().set_state(i, kmc::SiteState::Fe);
     }
   }
 }

@@ -27,7 +27,10 @@ class Pipeline {
   StagePropagator& add(std::unique_ptr<StagePropagator> stage);
 
   /// Collective across ranks: every rank calls run() with its own state.
-  void run(comm::Comm& comm, StageState& state, StageClock& clock);
+  /// Returns each stage's advance() seconds in pipeline order: the values
+  /// its `stage.<name>.seconds` gauges receive.
+  std::vector<double> run(comm::Comm& comm, StageState& state,
+                          StageClock& clock);
 
  private:
   std::vector<std::unique_ptr<StagePropagator>> stages_;
@@ -52,10 +55,11 @@ class MdCascadeStage : public StagePropagator {
 };
 
 /// Stage 2: vacancy clustering and evolution on the KMC engine. Owns the
-/// MD->KMC handoff application, the chunked cycle loop with checkpoint
-/// epochs, and the final vacancy census. The begin/run_detailed/finish
-/// pieces are public so SamplingScheduler can interleave detailed windows
-/// with SCD warming while executing the byte-identical cycle sequence.
+/// MD->KMC handoff application, the chunked cycle loop, the checkpoint
+/// epochs it writes and the resume that reads them back, and the final
+/// vacancy census. The begin/run_detailed/finish pieces are public so
+/// SamplingScheduler can interleave detailed windows with SCD warming while
+/// executing the byte-identical cycle sequence.
 class KmcStage : public StagePropagator {
  public:
   KmcStage(const SimulationConfig& cfg, kmc::KmcEngine& kmc, md::MdEngine& md,
@@ -63,6 +67,15 @@ class KmcStage : public StagePropagator {
 
   const char* name() const override { return "kmc"; }
   void advance(comm::Comm& comm, StageState& state, StageClock& clock) override;
+
+  /// Collective, before the pipeline runs: adopt the first of `epochs`
+  /// (newest first, the same list on every rank) that EVERY rank validates,
+  /// restoring the MD lattice, the KMC sites and engine state, and the
+  /// schedule position in `state`/`clock`. A rejected epoch makes all ranks
+  /// fall back to the next one together; when none is usable the KMC sites
+  /// are reset and the run starts fresh. No-op for an empty list.
+  void resume(comm::Comm& comm, StageState& state, StageClock& clock,
+              const std::vector<std::uint64_t>& epochs);
 
   /// Handoff application (fresh run) or pre-KMC census reconstruction
   /// (restored run); fills state.vacancies_before on rank 0.
@@ -82,6 +95,13 @@ class KmcStage : public StagePropagator {
   std::vector<std::int64_t> gather_vacancies(comm::Comm& comm) const;
 
  private:
+  /// Collective: write checkpoint epoch done_ (per-rank file, then a manifest
+  /// commit on rank 0 once every rank's write landed). A failed write on any
+  /// rank abandons the epoch: the run keeps the previous good one instead of
+  /// aborting.
+  void save_epoch(comm::Comm& comm, const StageState& state,
+                  const StageClock& clock);
+
   const SimulationConfig& cfg_;
   kmc::KmcEngine& kmc_;
   md::MdEngine& md_;

@@ -1,7 +1,6 @@
 #include "core/simulation.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -9,7 +8,6 @@
 #include <thread>
 
 #include "core/pipeline.h"
-#include "io/checkpoint.h"
 #include "io/checkpoint_store.h"
 #include "kmc/clusters.h"
 #include "kmc/engine.h"
@@ -19,7 +17,6 @@
 #include "potential/eam.h"
 #include "sunway/slave_pool.h"
 #include "telemetry/session.h"
-#include "telemetry/trace.h"
 
 namespace mmd::core {
 
@@ -108,27 +105,6 @@ SimulationReport Simulation::run() {
   const kmc::KmcConfig kmc_cfg = kmc_config_from(cfg_);
   const kmc::KmcSetup kmc_setup(kmc_cfg, cfg_.nranks);
 
-  // Record into the calling thread's telemetry session if a driver provided
-  // one (mmd_run --trace-out/--metrics-out, or a campaign lane's thread-scoped
-  // session), otherwise spin up a private one so the report can always be
-  // populated from the registry. The private session stays off the global
-  // slot: concurrent simulations must never observe each other's fallback.
-  std::unique_ptr<telemetry::Session> owned_session;
-  telemetry::Session* session = telemetry::Session::current();
-  if (session == nullptr) {
-    telemetry::Session::Options opts;
-    opts.install_global = false;
-    owned_session = std::make_unique<telemetry::Session>(cfg_.nranks, opts);
-    session = owned_session.get();
-  }
-  // Pin `session` as this thread's current one for the duration of the run;
-  // comm::World::run hands it on to the rank threads it spawns.
-  telemetry::Session::ThreadScope telemetry_scope(session);
-  // Counters in a driver-provided session may carry earlier runs; report
-  // deltas, not absolutes.
-  const std::uint64_t events_before =
-      session->metrics().aggregate().counter("kmc.events");
-
   std::unique_ptr<io::CheckpointStore> store;
   if (!cfg_.checkpoint_dir.empty()) {
     store = std::make_unique<io::CheckpointStore>(cfg_.checkpoint_dir,
@@ -176,82 +152,17 @@ SimulationReport Simulation::run() {
       md_engine.use_slave_kernel(slave_force.get());
     }
 
-    // --- resume: an epoch is adopted only when EVERY rank validates its
-    // file; otherwise all ranks fall back to the next older epoch together.
+    auto kmc_stage = std::make_unique<KmcStage>(cfg_, kmc_engine, md_engine,
+                                                store.get());
     StageState state;
     StageClock clock;
-    const char* expected_tag = cfg_.sampling.enabled() ? "sampling" : "kmc";
-    for (const std::uint64_t epoch : resume_epochs) {
-      io::Checkpoint::MetaState meta;
-      bool ok = true;
-      std::string error;
-      try {
-        const auto blob = store->read_rank_blob(epoch, comm.rank());
-        if (!blob) throw std::runtime_error("missing rank file");
-        std::istringstream is(*blob);
-        io::Checkpoint::read_file_header(is);
-        meta = io::Checkpoint::read_meta_section(is);
-        if (meta.rank != comm.rank() || meta.nranks != comm.size() ||
-            meta.seed != cfg_.md.seed || meta.stage_tag != expected_tag) {
-          throw std::runtime_error(
-              "checkpoint was written by a different run configuration");
-        }
-        md_engine.set_simulated_time(
-            io::Checkpoint::read_md_section(is, md_engine.lattice()));
-        io::Checkpoint::read_kmc_section(is, kmc_engine.model());
-      } catch (const std::exception& e) {
-        ok = false;
-        error = e.what();
-      }
-      const std::uint64_t bad = comm.allreduce_sum_u64(ok ? 0u : 1u);
-      if (bad == 0) {
-        kmc::KmcEngineState st;
-        st.events = meta.kmc_events;
-        st.cycles = meta.kmc_cycles;
-        st.mc_time = meta.kmc_mc_time;
-        st.last_max_rate = meta.kmc_last_max_rate;
-        st.rng_state = meta.kmc_rng_state;
-        kmc_engine.restore_state(comm, st);
-        // Events executed before the checkpoint re-enter the registry so a
-        // resumed run reports the same totals as an uninterrupted one.
-        if (meta.kmc_events > 0) telemetry::count("kmc.events", meta.kmc_events);
-        telemetry::count("ckpt.resumed_ranks");
-        state.restored = true;
-        state.restored_cycles = meta.kmc_cycles;
-        // Sampled-schedule position: the scheduler re-enters the window/
-        // stride loop exactly where the interrupted run left off.
-        state.sampled.windows = meta.sample_windows;
-        state.sampled.est_clusters = meta.sample_est_clusters;
-        state.sampled.ci_halfwidth = meta.sample_ci_halfwidth;
-        clock.scd_time_s = meta.scd_time_s;
-        break;
-      }
-      telemetry::count("ckpt.load_fallbacks");
-      if (!ok) {
-        std::fprintf(stderr,
-                     "mmd: rank %d: checkpoint epoch %llu rejected (%s); "
-                     "falling back\n",
-                     comm.rank(), static_cast<unsigned long long>(epoch),
-                     error.c_str());
-      }
-    }
-    if (!state.restored && !resume_epochs.empty()) {
-      // A partially-applied failed load must not leak into a fresh run.
-      for (std::size_t i = 0; i < kmc_engine.model().size(); ++i) {
-        kmc_engine.model().set_state(i, kmc::SiteState::Fe);
-      }
-    }
-    if (state.restored && cfg_.sampling.enabled()) {
-      state.sampled.replicates = cfg_.sampling.replicates;
-    }
+    kmc_stage->resume(comm, state, clock, resume_epochs);
 
     // --- the stage pipeline: MD cascade, then either the all-detailed KMC
     // stage or the sampled window/stride scheduler ---
     Pipeline pipeline;
     pipeline.add(std::make_unique<MdCascadeStage>(
         cfg_, static_cast<std::uint64_t>(md_setup.geo.num_sites()), md_engine));
-    auto kmc_stage = std::make_unique<KmcStage>(cfg_, kmc_engine, md_engine,
-                                                store.get());
     if (cfg_.sampling.enabled()) {
       auto scd = std::make_unique<kmc::ScdStage>(
           kmc_setup.geo,
@@ -265,7 +176,7 @@ SimulationReport Simulation::run() {
     }
     const sw::SlaveCorePool::PoolActivity activity_before =
         pool != nullptr ? pool->activity() : sw::SlaveCorePool::PoolActivity{};
-    pipeline.run(comm, state, clock);
+    const std::vector<double> stage_seconds = pipeline.run(comm, state, clock);
 
     // Oversubscription: rank threads plus CPE workers (a pool's calling
     // thread is the rank thread itself). Own pools add workers per rank; a
@@ -285,8 +196,22 @@ SimulationReport Simulation::run() {
                          static_cast<double>(threads) /
                              static_cast<double>(hw_threads));
 
+    // Fold this rank into the report: stage times and the compute/comm split
+    // are the values the gauges receive, maxed over ranks (the critical
+    // path, as an MPI_Allreduce(MAX) would give); events sum over ranks.
+    std::lock_guard lk(report_mutex);
+    report.md_seconds = std::max(report.md_seconds, stage_seconds.front());
+    report.kmc_seconds = std::max(report.kmc_seconds, stage_seconds.back());
+    report.md_compute_seconds =
+        std::max(report.md_compute_seconds, md_engine.computation_seconds());
+    report.md_comm_seconds =
+        std::max(report.md_comm_seconds, md_engine.communication_seconds());
+    report.kmc_compute_seconds =
+        std::max(report.kmc_compute_seconds, kmc_engine.computation_seconds());
+    report.kmc_comm_seconds =
+        std::max(report.kmc_comm_seconds, kmc_engine.communication_seconds());
+    report.kmc_events += kmc_engine.stats().events;
     if (comm.rank() == 0) {
-      std::lock_guard lk(report_mutex);
       report.md_defects = state.md_defects;
       report.clusters_after_md =
           kmc::cluster_vacancies(kmc_setup.geo, state.vacancies_before);
@@ -305,19 +230,6 @@ SimulationReport Simulation::run() {
       report.sampled = state.sampled;
     }
   });
-
-  // Timing split and event totals come from the telemetry registry — the
-  // per-rank gauges/counters written above replace the old in-run allreduces
-  // (max over ranks = the critical path, exactly what the allreduce computed).
-  const auto agg = session->metrics().aggregate();
-  report.kmc_events = agg.counter("kmc.events") - events_before;
-  report.md_seconds = agg.gauge_maximum("stage.md_cascade.seconds");
-  report.kmc_seconds = std::max(agg.gauge_maximum("stage.kmc.seconds"),
-                                agg.gauge_maximum("stage.sampling.seconds"));
-  report.md_compute_seconds = agg.gauge_maximum("md.compute_seconds");
-  report.md_comm_seconds = agg.gauge_maximum("md.comm_seconds");
-  report.kmc_compute_seconds = agg.gauge_maximum("kmc.compute_seconds");
-  report.kmc_comm_seconds = agg.gauge_maximum("kmc.comm_seconds");
   return report;
 }
 

@@ -157,7 +157,9 @@ class Simulation {
   /// constructor does internally; serve::AssetCache calls this on misses).
   static SimulationAssets build_assets(const SimulationConfig& cfg);
 
-  /// Execute the full pipeline; collective across cfg.nranks ranks.
+  /// Execute the full pipeline; collective across cfg.nranks ranks. Records
+  /// into the calling thread's current telemetry session, if any, and
+  /// creates none: without one the run is untraced.
   SimulationReport run();
 
   const SimulationConfig& config() const { return cfg_; }

@@ -305,11 +305,11 @@ void Checkpoint::write_meta_section(std::ostream& os, const MetaState& meta) {
   w.put_i32(meta.nranks);
   w.put_u64(meta.seed);
   w.put_f64(meta.md_time_ps);
-  w.put_u64(meta.kmc_cycles);
-  w.put_u64(meta.kmc_events);
-  w.put_f64(meta.kmc_mc_time);
-  w.put_f64(meta.kmc_last_max_rate);
-  w.put_u64(meta.kmc_rng_state);
+  w.put_u64(meta.kmc.cycles);
+  w.put_u64(meta.kmc.events);
+  w.put_f64(meta.kmc.mc_time);
+  w.put_f64(meta.kmc.last_max_rate);
+  w.put_u64(meta.kmc.rng_state);
   w.put_u32(static_cast<std::uint32_t>(meta.stage_tag.size()));
   for (const char c : meta.stage_tag) {
     w.put_u8(static_cast<std::uint8_t>(c));
@@ -329,11 +329,11 @@ Checkpoint::MetaState Checkpoint::read_meta_section(std::istream& is) {
   meta.nranks = r.get_i32();
   meta.seed = r.get_u64();
   meta.md_time_ps = r.get_f64();
-  meta.kmc_cycles = r.get_u64();
-  meta.kmc_events = r.get_u64();
-  meta.kmc_mc_time = r.get_f64();
-  meta.kmc_last_max_rate = r.get_f64();
-  meta.kmc_rng_state = r.get_u64();
+  meta.kmc.cycles = r.get_u64();
+  meta.kmc.events = r.get_u64();
+  meta.kmc.mc_time = r.get_f64();
+  meta.kmc.last_max_rate = r.get_f64();
+  meta.kmc.rng_state = r.get_u64();
   const std::uint32_t tag_len = r.get_u32();
   if (tag_len > 64) {
     throw std::runtime_error("Checkpoint: implausible stage tag length " +

@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "kmc/engine.h"
 #include "kmc/model.h"
 #include "lattice/lattice_neighbor_list.h"
 
@@ -46,11 +47,9 @@ class Checkpoint {
     std::int32_t nranks = 1;
     std::uint64_t seed = 0;             ///< run seed, cross-checked at load
     double md_time_ps = 0.0;            ///< MD clock at the MD->KMC handoff
-    std::uint64_t kmc_cycles = 0;       ///< KMC cycles completed
-    std::uint64_t kmc_events = 0;       ///< events executed on this rank
-    double kmc_mc_time = 0.0;           ///< MC clock [s]
-    double kmc_last_max_rate = 0.0;     ///< seeds the next cycle's dt sync
-    std::uint64_t kmc_rng_state = 0;    ///< generator state, not the seed
+    /// Cycle and event counters, MC clock, the next dt sync's seed and the
+    /// generator state (not the seed) of this rank's KMC engine.
+    kmc::KmcEngineState kmc;
     // --- v3: stage-pipeline schedule position (docs/SAMPLING.md) ---
     /// Which KMC-side propagator wrote the epoch ("kmc" for the all-detailed
     /// pipeline, "sampling" for the sampled window/stride scheduler);

@@ -145,7 +145,8 @@ TEST(Simulation, ParallelMatchesSerialDefectCounts) {
 
 TEST(Simulation, SplitGaugesFitInsideStageTimes) {
   // The split is charged by spans inside each stage's advance(), which
-  // Pipeline::run times, so on every rank it cannot exceed its stage.
+  // Pipeline::run times, so on every rank it cannot exceed its stage. The
+  // report folds the same values the gauges receive.
   SimulationConfig cfg = tiny_config();
   cfg.md_time_ps = 0.03;
   cfg.kmc_cycles = 4;
@@ -174,6 +175,24 @@ TEST(Simulation, SplitGaugesFitInsideStageTimes) {
   const auto agg = session.metrics().aggregate();
   EXPECT_EQ(report.md_seconds, agg.gauge_maximum("stage.md_cascade.seconds"));
   EXPECT_EQ(report.kmc_seconds, agg.gauge_maximum("stage.kmc.seconds"));
+  EXPECT_EQ(report.md_compute_seconds, agg.gauge_maximum("md.compute_seconds"));
+  EXPECT_EQ(report.md_comm_seconds, agg.gauge_maximum("md.comm_seconds"));
+  EXPECT_EQ(report.kmc_compute_seconds,
+            agg.gauge_maximum("kmc.compute_seconds"));
+  EXPECT_EQ(report.kmc_comm_seconds, agg.gauge_maximum("kmc.comm_seconds"));
+  EXPECT_GT(report.kmc_events, 0u);
+  EXPECT_EQ(report.kmc_events, agg.counter("kmc.events"));
+
+  // A second run into the same session reports its own events, not the
+  // session's running total.
+  SimulationReport again;
+  {
+    telemetry::Session::ThreadScope scope(&session);
+    again = Simulation(cfg).run();
+  }
+  EXPECT_EQ(again.kmc_events, report.kmc_events);
+  EXPECT_EQ(session.metrics().aggregate().counter("kmc.events"),
+            2 * report.kmc_events);
 }
 
 TEST(Simulation, ReportToStringMentionsKeyNumbers) {

@@ -363,6 +363,49 @@ TEST(Checkpoint, MultiRankRoundTripWithRunawayChains) {
   }
 }
 
+TEST(Checkpoint, MetaSectionRoundTripsAndKeepsV3Layout) {
+  Checkpoint::MetaState meta;
+  meta.rank = 3;
+  meta.nranks = 7;
+  meta.seed = 0x0123456789abcdefull;
+  meta.md_time_ps = 1.25;
+  meta.kmc.cycles = 41;
+  meta.kmc.events = 977;
+  meta.kmc.mc_time = 2.5e-6;
+  meta.kmc.last_max_rate = 3.75e9;
+  meta.kmc.rng_state = 0xfedcba9876543210ull;
+  meta.stage_tag = "sampling";
+  meta.sample_windows = 12;
+  meta.scd_time_s = 4.5e-5;
+  meta.sample_est_clusters = 6.125;
+  meta.sample_ci_halfwidth = 0.875;
+  std::ostringstream os;
+  Checkpoint::write_meta_section(os, meta);
+  const std::string bytes = os.str();
+
+  std::istringstream is(bytes);
+  const Checkpoint::MetaState back = Checkpoint::read_meta_section(is);
+  EXPECT_EQ(back.rank, meta.rank);
+  EXPECT_EQ(back.nranks, meta.nranks);
+  EXPECT_EQ(back.seed, meta.seed);
+  EXPECT_EQ(back.md_time_ps, meta.md_time_ps);
+  EXPECT_EQ(back.kmc.cycles, meta.kmc.cycles);
+  EXPECT_EQ(back.kmc.events, meta.kmc.events);
+  EXPECT_EQ(back.kmc.mc_time, meta.kmc.mc_time);
+  EXPECT_EQ(back.kmc.last_max_rate, meta.kmc.last_max_rate);
+  EXPECT_EQ(back.kmc.rng_state, meta.kmc.rng_state);
+  EXPECT_EQ(back.stage_tag, meta.stage_tag);
+  EXPECT_EQ(back.sample_windows, meta.sample_windows);
+  EXPECT_EQ(back.scd_time_s, meta.scd_time_s);
+  EXPECT_EQ(back.sample_est_clusters, meta.sample_est_clusters);
+  EXPECT_EQ(back.sample_ci_halfwidth, meta.sample_ci_halfwidth);
+
+  // The v3 field order and widths: any change to either moves the section's
+  // size or its CRC-32.
+  EXPECT_EQ(bytes.size(), 124u);
+  EXPECT_EQ(util::crc32(bytes), 0x48925776u);
+}
+
 TEST(Checkpoint, KindMismatchRejected) {
   kmc::KmcConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 6;

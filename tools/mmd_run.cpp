@@ -23,7 +23,8 @@
 // load-imbalance factor, p50/p95/p99 span tails, DMA-vs-compute overlap) and
 // prints the human-readable report; with =FILE it also writes the versioned
 // JSON form. All output files that cannot be opened fail the run with a
-// nonzero exit. See docs/OBSERVABILITY.md.
+// nonzero exit. Without any of these flags (or the comm.trace key) the run
+// opens no telemetry session and records nothing. See docs/OBSERVABILITY.md.
 //
 // --checkpoint-dir/--checkpoint-every enable periodic per-rank checkpoints
 // of the full coupled state; --resume restarts from the newest committed
@@ -48,6 +49,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -177,11 +179,17 @@ int main(int argc, char** argv) {
     const int box = cfg.md.nx;
     std::printf("mmd_run: %d^3 cells (%d atoms), %d ranks, T = %.0f K\n", box,
                 2 * box * box * box, cfg.nranks, cfg.md.temperature);
-    telemetry::Session::Options session_opt;
-    if (!cfg.comm_trace.empty()) {
-      session_opt.comm_events_per_rank = std::size_t{1} << 16;
+    // A session costs span rings and registry writes; open one only when
+    // the run exports what it records. Without one the run is untraced.
+    std::optional<telemetry::Session> session;
+    if (!trace_out.empty() || !metrics_out.empty() || perf_report ||
+        !cfg.comm_trace.empty()) {
+      telemetry::Session::Options session_opt;
+      if (!cfg.comm_trace.empty()) {
+        session_opt.comm_events_per_rank = std::size_t{1} << 16;
+      }
+      session.emplace(cfg.nranks, session_opt);
     }
-    telemetry::Session session(cfg.nranks, session_opt);
     core::Simulation sim(cfg);
     const auto report = sim.run();
     // stderr, so stdout stays byte-comparable between a full run and a
@@ -200,8 +208,8 @@ int main(int argc, char** argv) {
 
     if (!trace_out.empty()) {
       // With the flight recorder on, comm messages ride along as flow arrows.
-      if (!telemetry::write_chrome_trace_file(trace_out, session.tracer(),
-                                              session.comm_recorder())) {
+      if (!telemetry::write_chrome_trace_file(trace_out, session->tracer(),
+                                              session->comm_recorder())) {
         std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
         return 1;
       }
@@ -209,7 +217,7 @@ int main(int argc, char** argv) {
                   trace_out.c_str());
     }
     if (!cfg.comm_trace.empty()) {
-      const auto agg = session.metrics().aggregate();
+      const auto agg = session->metrics().aggregate();
       const auto counter = [&](const char* name) -> std::uint64_t {
         const auto it = agg.counters.find(name);
         return it == agg.counters.end() ? 0 : it->second;
@@ -228,7 +236,7 @@ int main(int argc, char** argv) {
       meta["md_steps"] = std::to_string(counter("md.steps") / nranks_u);
       meta["kmc_cycles"] = std::to_string(counter("kmc.cycles") / nranks_u);
       const auto trace = telemetry::trace_from_recorder(
-          *session.comm_recorder(), std::move(meta));
+          *session->comm_recorder(), std::move(meta));
       std::string err;
       if (!telemetry::write_comm_trace_file(cfg.comm_trace, trace, &err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
@@ -240,7 +248,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(trace.total_dropped()));
     }
     if (!metrics_out.empty()) {
-      if (!telemetry::write_metrics_json_file(metrics_out, session.metrics())) {
+      if (!telemetry::write_metrics_json_file(metrics_out, session->metrics())) {
         std::fprintf(stderr, "error: cannot write %s\n", metrics_out.c_str());
         return 1;
       }
@@ -249,7 +257,7 @@ int main(int argc, char** argv) {
 
     if (perf_report) {
       const auto perf =
-          telemetry::analyze(session.tracer(), session.metrics());
+          telemetry::analyze(session->tracer(), session->metrics());
       write_perf_report_text(std::cout, perf);
       if (!perf_report_out.empty()) {
         if (!telemetry::write_perf_report_json_file(perf_report_out, perf)) {
