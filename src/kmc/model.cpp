@@ -1,9 +1,11 @@
 #include "kmc/model.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace mmd::kmc {
 
@@ -63,14 +65,36 @@ KmcModel::KmcModel(const KmcConfig& cfg, const lat::BccGeometry& geo,
       }
     }
   }
+  // Reach of each sublattice's cutoff stencil, per axis: a site's stencil
+  // lies in storage iff these bounds do.
+  struct Reach {
+    int lo[3] = {0, 0, 0};
+    int hi[3] = {0, 0, 0};
+  };
+  Reach reach[2];
+  for (int sub = 0; sub <= 1; ++sub) {
+    for (const auto& o : offsets_[sub]) {
+      const int d[3] = {o.dx, o.dy, o.dz};
+      for (int a = 0; a < 3; ++a) {
+        reach[sub].lo[a] = std::min(reach[sub].lo[a], d[a]);
+        reach[sub].hi[a] = std::max(reach[sub].hi[a], d[a]);
+      }
+    }
+  }
   sites_.assign(box_.num_entries(), SiteState::Fe);
   owned_.reserve(box_.num_owned_sites());
   owned_ordinal_.assign(box_.num_entries(), kNotOwned);
+  stencil_in_storage_.assign(box_.num_entries(), 0);
   for (std::size_t i = 0; i < sites_.size(); ++i) {
-    if (box_.owns(box_.coord_of(i))) {
+    const lat::LocalCoord c = box_.coord_of(i);
+    if (box_.owns(c)) {
       owned_ordinal_[i] = static_cast<std::uint32_t>(owned_.size());
       owned_.push_back(i);
     }
+    const Reach& r = reach[c.sub];
+    stencil_in_storage_[i] =
+        box_.in_storage({c.x + r.lo[0], c.y + r.lo[1], c.z + r.lo[2], c.sub}) &&
+        box_.in_storage({c.x + r.hi[0], c.y + r.hi[1], c.z + r.hi[2], c.sub});
   }
   // Invalidation shells: {0} ∪ cutoff ∪ (cutoff ∘ nn) per sublattice, as a
   // sorted deduplicated set so the engine's dirty sweeps are deterministic.
@@ -144,35 +168,39 @@ bool KmcModel::in_storage_global(std::int64_t gid) const {
   return !images.empty();
 }
 
+void KmcModel::check_stencil(std::size_t idx) const {
+  if (stencil_in_storage_[idx] == 0) {
+    throw std::out_of_range("KmcModel: the cutoff stencil of entry " +
+                            std::to_string(idx) +
+                            " leaves this rank's storage");
+  }
+}
+
 double KmcModel::rho_at(std::size_t idx, int center_type) const {
-  const lat::LocalCoord c = box_.coord_of(idx);
+  check_stencil(idx);
+  const int sub = static_cast<int>(idx & 1);
+  const auto& deltas = deltas_[sub];
   double rho = 0.0;
-  const auto& offs = offsets_[c.sub];
-  for (std::size_t k = 0; k < offs.size(); ++k) {
-    const auto& o = offs[k];
-    const lat::LocalCoord n{c.x + o.dx, c.y + o.dy, c.z + o.dz, o.to_sub};
-    if (!box_.in_storage(n)) continue;
-    const SiteState s = sites_[box_.entry_index(n)];
+  for (std::size_t k = 0; k < deltas.size(); ++k) {
+    const SiteState s = sites_[idx + static_cast<std::size_t>(deltas[k])];
     if (!is_atom(s)) continue;
-    rho += f_shell(c.sub, center_type, static_cast<int>(s), k);
+    rho += f_shell(sub, center_type, static_cast<int>(s), k);
   }
   return rho;
 }
 
 double KmcModel::pair_energy_at(std::size_t idx, std::size_t exclude,
                                 int center_type) const {
-  const lat::LocalCoord c = box_.coord_of(idx);
+  check_stencil(idx);
+  const int sub = static_cast<int>(idx & 1);
+  const auto& deltas = deltas_[sub];
   double e = 0.0;
-  const auto& offs = offsets_[c.sub];
-  for (std::size_t k = 0; k < offs.size(); ++k) {
-    const auto& o = offs[k];
-    const lat::LocalCoord n{c.x + o.dx, c.y + o.dy, c.z + o.dz, o.to_sub};
-    if (!box_.in_storage(n)) continue;
-    const std::size_t ni = box_.entry_index(n);
+  for (std::size_t k = 0; k < deltas.size(); ++k) {
+    const std::size_t ni = idx + static_cast<std::size_t>(deltas[k]);
     if (ni == exclude) continue;
     const SiteState s = sites_[ni];
     if (!is_atom(s)) continue;
-    e += phi_shell(c.sub, center_type, static_cast<int>(s), k);
+    e += phi_shell(sub, center_type, static_cast<int>(s), k);
   }
   return e;
 }
@@ -187,19 +215,16 @@ double KmcModel::exchange_dE(std::size_t vac_idx, std::size_t atom_idx) const {
   const double e_before =
       embed.value(rho_at(atom_idx, t)) +
       pair_energy_at(atom_idx, static_cast<std::size_t>(-1), t);
-  // After the swap, the atom sits at vac_idx; its density/pairs must not
-  // count its old position (now a vacancy).
   // After the swap the atom sits at vac_idx with atom_idx empty: rho at
   // vac_idx currently still counts the atom at its old position, so remove
   // that one contribution explicitly.
   const double rho_after = rho_at(vac_idx, t);
-  const lat::LocalCoord cv = box_.coord_of(vac_idx);
+  const int sub = static_cast<int>(vac_idx & 1);
+  const auto& deltas = deltas_[sub];
   double rho_corr = 0.0;
-  for (const auto& o : offsets_[cv.sub]) {
-    const lat::LocalCoord n{cv.x + o.dx, cv.y + o.dy, cv.z + o.dz, o.to_sub};
-    if (!box_.in_storage(n)) continue;
-    if (box_.entry_index(n) == atom_idx) {
-      rho_corr = tables_->f(t, t).value(std::sqrt(o.dist2));
+  for (std::size_t k = 0; k < deltas.size(); ++k) {
+    if (vac_idx + static_cast<std::size_t>(deltas[k]) == atom_idx) {
+      rho_corr = f_shell(sub, t, t, k);
       break;
     }
   }
@@ -235,6 +260,7 @@ std::size_t KmcModel::memory_bytes() const {
   b += flips_.capacity() * sizeof(std::size_t);
   b += owned_.capacity() * sizeof(std::size_t);
   b += owned_ordinal_.capacity() * sizeof(std::uint32_t);
+  b += stencil_in_storage_.capacity() * sizeof(std::uint8_t);
   for (int sub = 0; sub <= 1; ++sub) {
     b += offsets_[sub].capacity() * sizeof(lat::SiteOffset);
     b += deltas_[sub].capacity() * sizeof(std::int64_t);

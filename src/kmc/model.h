@@ -112,12 +112,15 @@ class KmcModel {
   // --- energetics -----------------------------------------------------------
 
   /// Host electron density felt by an atom of species `center_type` at the
-  /// position of site idx (occupied neighbors only, self excluded).
-  /// Out-of-storage neighbors are skipped.
+  /// position of site idx (occupied neighbors only, self excluded). The
+  /// cutoff stencil of idx must lie in storage, as it does for owned sites
+  /// and their 1NNs (the constructor's halo check); otherwise throws
+  /// std::out_of_range naming the entry.
   double rho_at(std::size_t idx, int center_type = 0) const;
 
   /// Pair-energy sum of an atom of species `center_type` at site idx with
   /// occupied neighbors, optionally pretending site `exclude` is empty.
+  /// Same stencil precondition as rho_at.
   double pair_energy_at(std::size_t idx, std::size_t exclude,
                         int center_type = 0) const;
 
@@ -209,7 +212,13 @@ class KmcModel {
   std::vector<lat::SiteOffset> offsets_[2];
   std::vector<lat::SiteOffset> nn_[2];
   std::vector<std::int64_t> deltas_[2];
+  /// Per entry: 1 iff its whole cutoff stencil lies in storage, so the
+  /// energetics may walk deltas_ from it.
+  std::vector<std::uint8_t> stencil_in_storage_;
   double kT_;
+
+  /// Throws std::out_of_range unless the stencil of idx lies in storage.
+  void check_stencil(std::size_t idx) const;
 };
 
 }  // namespace mmd::kmc

@@ -25,10 +25,14 @@ LatticeNeighborList::LatticeNeighborList(const BccGeometry& geo,
   }
   entries_.resize(box.num_entries());
   owned_.reserve(box.num_owned_sites());
+  ghosts_.reserve(entries_.size() - box.num_owned_sites());
   const CellRegion interior = interior_region(box_, box_.halo);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const LocalCoord c = box_.coord_of(i);
-    if (!box_.owns(c)) continue;
+    if (!box_.owns(c)) {
+      ghosts_.push_back(i);
+      continue;
+    }
     owned_.push_back(i);
     (interior.contains(c) ? interior_ : boundary_).push_back(i);
   }
@@ -106,17 +110,15 @@ void LatticeNeighborList::fill_perfect(Species s) {
 }
 
 void LatticeNeighborList::clear_ghosts() {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (!box_.owns(box_.coord_of(i))) {
-      // Drop the ghost chain nodes back into the pool, then reset the entry.
-      for (std::int32_t ri = entries_[i].runaway_head;
-           ri != AtomEntry::kNoRunaway;) {
-        const std::int32_t next = runaways_[static_cast<std::size_t>(ri)].next;
-        free_.push_back(ri);
-        ri = next;
-      }
-      entries_[i] = AtomEntry{};
+  for (std::size_t i : ghosts_) {
+    // Drop the ghost chain nodes back into the pool, then reset the entry.
+    for (std::int32_t ri = entries_[i].runaway_head;
+         ri != AtomEntry::kNoRunaway;) {
+      const std::int32_t next = runaways_[static_cast<std::size_t>(ri)].next;
+      free_.push_back(ri);
+      ri = next;
     }
+    entries_[i] = AtomEntry{};
   }
 }
 

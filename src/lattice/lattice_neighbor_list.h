@@ -82,6 +82,10 @@ class LatticeNeighborList {
   /// Indices of all owned entries, in rank order (cached).
   const std::vector<std::size_t>& owned_indices() const { return owned_; }
 
+  /// Indices of all ghost (halo) entries, ascending (cached): the complement
+  /// of owned_indices() in storage.
+  const std::vector<std::size_t>& ghost_indices() const { return ghosts_; }
+
   /// Owned entries whose cell lies at least `halo` cells from every
   /// subdomain face: their neighbor stencils never read ghost storage, so
   /// their forces can be computed while a halo exchange is still in flight.
@@ -233,6 +237,7 @@ class LatticeNeighborList {
   std::vector<RunawayAtom> runaways_;
   std::vector<std::int32_t> free_;
   std::vector<std::size_t> owned_;
+  std::vector<std::size_t> ghosts_;    ///< halo entries, ascending
   std::vector<std::size_t> interior_;  ///< owned, stencil ghost-free
   std::vector<std::size_t> boundary_;  ///< owned, stencil reads ghosts
   std::vector<SiteOffset> offsets_[2];

@@ -56,10 +56,12 @@ void MdEngine::initialize(comm::Comm& comm) {
     ghosts_.exchange(comm);
   }
   // Observability: how wide the force kernels run (4 = AVX2 doubles, 1 =
-  // scalar). Per-sweep table residency can still drop a vectorized sweep to
-  // scalar; that shows up in sw.table.fallback instead.
-  telemetry::set_gauge("md.force.simd_lanes",
-                       slave_ != nullptr && slave_->simd() ? 4.0 : 1.0);
+  // scalar), on whichever path computes forces: md.simd switches the slave
+  // kernel, the CPU alone decides the reference path. Per-sweep table
+  // residency can still drop a vectorized slave sweep to scalar; that shows
+  // up in sw.table.fallback instead.
+  const bool simd = slave_ != nullptr ? slave_->simd() : ref_force_.simd();
+  telemetry::set_gauge("md.force.simd_lanes", simd ? 4.0 : 1.0);
   compute_all_forces(comm);
 }
 

@@ -15,31 +15,105 @@ double fprime_of(const pot::EamTableSet& tables, const Particle& p) {
   return tables.embed_of(sp(p.type)).derivative(p.rho);
 }
 
+detail::EamTableView view_of(const pot::CompactTable& t) {
+  return {t.samples(), t.node_derivatives(), t.x_min(),
+          t.dx(),      t.xmin_over_dx(),     t.segments() - 1};
+}
+
 }  // namespace
 
-void ReferenceForce::compute_rho(lat::LatticeNeighborList& lnl) const {
-  const double cut2 = tables_->cutoff * tables_->cutoff;
+ReferenceForce::ReferenceForce(const pot::EamTableSet& tables)
+    : tables_(&tables), simd_(simd_supported()) {
+  views_.reserve(tables.pairs.size());
+  for (const auto& p : tables.pairs) {
+    views_.push_back({view_of(p.phi), view_of(p.f)});
+  }
+}
+
+bool ReferenceForce::simd_supported() { return detail::eam_avx2_available(); }
+
+void ReferenceForce::rho_terms(EamPairRecords& rec) const {
   const double r_min = tables_->r_min;
-  auto accumulate = [&](const util::Vec3& r0, int t0, auto&& visit) {
-    double rho = 0.0;
-    visit([&](const lat::ParticleView& p) {
-      const double r2 = (p.r - r0).norm2();
-      if (r2 > cut2) return;
-      const double r = std::max(std::sqrt(r2), r_min);
-      rho += tables_->f(t0, sp(p.type)).value(r);
-    });
-    return rho;
-  };
+  const std::size_t n = rec.r2.size();
+  rec.term.resize(n);
+  std::size_t k = 0;
+  if (simd_) {
+    k = n - n % 4;
+    detail::eam_rho_terms_avx2(views_.data(), rec.pair.data(), rec.r2.data(),
+                               k, r_min, rec.term.data());
+  }
+  for (; k < n; ++k) {
+    const double r = std::max(std::sqrt(rec.r2[k]), r_min);
+    rec.term[k] = tables_->pairs[static_cast<std::size_t>(rec.pair[k])].f.value(r);
+  }
+}
+
+void ReferenceForce::force_terms(EamPairRecords& rec, double fp0) const {
+  const double r_min = tables_->r_min;
+  const std::size_t n = rec.r2.size();
+  rec.term.resize(n);
+  std::size_t k = 0;
+  if (simd_) {
+    k = n - n % 4;
+    detail::eam_force_terms_avx2(views_.data(), rec.pair.data(), rec.r2.data(),
+                                 rec.fprime.data(), fp0, k, r_min,
+                                 rec.term.data());
+  }
+  for (; k < n; ++k) {
+    const double r = std::max(std::sqrt(rec.r2[k]), r_min);
+    double dphi, df;
+    tables_->pairs[static_cast<std::size_t>(rec.pair[k])].derivatives(r, &dphi, &df);
+    rec.term[k] = (dphi + (fp0 + rec.fprime[k]) * df) / r;
+  }
+}
+
+template <typename Visit>
+double ReferenceForce::rho_of(const util::Vec3& r0, int t0, Visit&& visit) {
+  const double cut2 = tables_->cutoff * tables_->cutoff;
+  rec_.clear();
+  visit([&](const lat::ParticleView& p) {
+    const double r2 = (p.r - r0).norm2();
+    if (r2 > cut2) return;
+    rec_.r2.push_back(r2);
+    rec_.pair.push_back(static_cast<std::int32_t>(tables_->pair_index(t0, sp(p.type))));
+  });
+  rho_terms(rec_);
+  double rho = 0.0;
+  for (const double v : rec_.term) rho += v;
+  return rho;
+}
+
+template <typename Visit>
+util::Vec3 ReferenceForce::force_on(const util::Vec3& r0, int t0, double fp0,
+                                    Visit&& visit) {
+  const double cut2 = tables_->cutoff * tables_->cutoff;
+  rec_.clear();
+  visit([&](const lat::ParticleView& p) {
+    const util::Vec3 d = p.r - r0;
+    const double r2 = d.norm2();
+    if (r2 > cut2 || r2 == 0.0) return;
+    rec_.d.push_back(d);
+    rec_.r2.push_back(r2);
+    rec_.fprime.push_back(fprime_[p.slot]);
+    rec_.pair.push_back(static_cast<std::int32_t>(tables_->pair_index(t0, sp(p.type))));
+  });
+  force_terms(rec_, fp0);
+  util::Vec3 force;
+  for (std::size_t k = 0; k < rec_.d.size(); ++k) force += rec_.d[k] * rec_.term[k];
+  return force;
+}
+
+void ReferenceForce::compute_rho(lat::LatticeNeighborList& lnl) {
   for (std::size_t idx : lnl.owned_indices()) {
     lat::AtomEntry& e = lnl.entry(idx);
     if (!e.is_atom()) continue;
-    e.rho = accumulate(e.r, sp(e.type), [&](auto&& f) {
+    e.rho = rho_of(e.r, sp(e.type), [&](auto&& f) {
       lnl.for_each_neighbor_of_entry(idx, f);
     });
   }
   lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t host) {
     lat::RunawayAtom& a = lnl.runaway(ri);
-    a.rho = accumulate(a.r, sp(a.type), [&](auto&& f) {
+    a.rho = rho_of(a.r, sp(a.type), [&](auto&& f) {
       lnl.for_each_neighbor_of_runaway(ri, host, f);
     });
   });
@@ -58,8 +132,7 @@ void ReferenceForce::refresh_fprime_owned(const lat::LatticeNeighborList& lnl) {
 
 void ReferenceForce::refresh_fprime_ghosts(const lat::LatticeNeighborList& lnl) {
   fprime_.resize(lnl.particle_slots());
-  for (std::size_t idx = 0; idx < lnl.size(); ++idx) {
-    if (lnl.is_owned(idx)) continue;
+  for (std::size_t idx : lnl.ghost_indices()) {
     const lat::AtomEntry& e = lnl.entry(idx);
     if (e.is_atom()) fprime_[idx] = fprime_of(*tables_, e);
     for (std::int32_t ri = e.runaway_head; ri != lat::AtomEntry::kNoRunaway;
@@ -69,48 +142,21 @@ void ReferenceForce::refresh_fprime_ghosts(const lat::LatticeNeighborList& lnl) 
   }
 }
 
-namespace {
-
-/// The pass-2 per-particle kernel, shared by the entry and run-away drivers.
-/// `fprime` is the F'(rho) plane; `fp0` is the central particle's entry.
-template <typename Visit>
-util::Vec3 eam_force_on(const pot::EamTableSet& tables, const double* fprime,
-                        const util::Vec3& r0, int t0, double fp0, Visit&& visit) {
-  const double cut2 = tables.cutoff * tables.cutoff;
-  const double r_min = tables.r_min;
-  util::Vec3 force;
-  visit([&](const lat::ParticleView& p) {
-    const util::Vec3 d = p.r - r0;
-    const double r2 = d.norm2();
-    if (r2 > cut2 || r2 == 0.0) return;
-    const double r = std::max(std::sqrt(r2), r_min);
-    double dphi, df;
-    tables.pair(t0, sp(p.type)).derivatives(r, &dphi, &df);
-    const double scale = (dphi + (fp0 + fprime[p.slot]) * df) / r;
-    force += d * scale;
-  });
-  return force;
-}
-
-}  // namespace
-
 void ReferenceForce::entry_forces(lat::LatticeNeighborList& lnl,
-                                  std::span<const std::size_t> indices) const {
+                                  std::span<const std::size_t> indices) {
   for (std::size_t idx : indices) {
     lat::AtomEntry& e = lnl.entry(idx);
     if (!e.is_atom()) continue;
-    e.f = eam_force_on(*tables_, fprime_.data(), e.r, sp(e.type), fprime_[idx],
-                       [&](auto&& f) { lnl.for_each_neighbor_of_entry(idx, f); });
+    e.f = force_on(e.r, sp(e.type), fprime_[idx],
+                   [&](auto&& f) { lnl.for_each_neighbor_of_entry(idx, f); });
   }
 }
 
-void ReferenceForce::runaway_forces(lat::LatticeNeighborList& lnl) const {
+void ReferenceForce::runaway_forces(lat::LatticeNeighborList& lnl) {
   lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t host) {
     lat::RunawayAtom& a = lnl.runaway(ri);
-    a.f = eam_force_on(*tables_, fprime_.data(), a.r, sp(a.type),
-                       fprime_[lnl.runaway_slot(ri)], [&](auto&& f) {
-                         lnl.for_each_neighbor_of_runaway(ri, host, f);
-                       });
+    a.f = force_on(a.r, sp(a.type), fprime_[lnl.runaway_slot(ri)],
+                   [&](auto&& f) { lnl.for_each_neighbor_of_runaway(ri, host, f); });
   });
 }
 

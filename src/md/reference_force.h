@@ -1,12 +1,32 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "lattice/lattice_neighbor_list.h"
+#include "md/reference_force_kernels.h"
 #include "potential/eam.h"
 
 namespace mmd::md {
+
+/// Visit-ordered neighbour records of one central particle: what the
+/// collect step of an EAM pass appends and its evaluate step reads. The rho
+/// pass fills r2 and pair; the force pass also fills d and fprime.
+struct EamPairRecords {
+  std::vector<double> r2;
+  std::vector<std::int32_t> pair;  ///< pot::EamTableSet pair index
+  std::vector<util::Vec3> d;       ///< r_j - r_i (force pass)
+  std::vector<double> fprime;      ///< F'(rho_j) (force pass)
+  std::vector<double> term;        ///< evaluate output, one per record
+
+  void clear() {
+    r2.clear();
+    pair.clear();
+    d.clear();
+    fprime.clear();
+  }
+};
 
 /// Master-core (reference) EAM evaluation over the lattice neighbor list.
 ///
@@ -19,6 +39,19 @@ namespace mmd::md {
 /// Forces are written for owned lattice atoms and owned run-away atoms; ghost
 /// entries are read-only.
 ///
+/// Each pass runs collect -> evaluate -> sum per central particle. Collect
+/// appends the in-cutoff neighbours' records (EamPairRecords) in visit
+/// order; evaluate computes their pair terms; sum adds the terms in visit
+/// order, so rho and F do not depend on how the terms were evaluated. On a
+/// CPU with AVX2, evaluate runs four records at a time through the vector
+/// unit (reference_force_simd.cpp), which repeats the scalar order of
+/// operations without fusing a*b+c, and the 1-3 record tail through the
+/// scalar expressions; other CPUs run the scalar evaluator over the same
+/// records. The bits equal the scalar evaluator's in every build that does
+/// not contract a*b+c into FMA (a whole-tree -march=x86-64-v3 build fuses
+/// the scalar expressions but not the vector unit). Fe-Cu neighbourhoods
+/// take the same path, each lane reading its own pair's tables.
+///
 /// Pass 2 reads F'(rho) from a per-particle plane indexed by
 /// lat::ParticleView::slot, filled once per particle before the pair loop
 /// (not once per pair), and takes phi' and f' of a pair from one shared
@@ -27,10 +60,18 @@ namespace mmd::md {
 /// from a 6-sample window as the slave-core copies do; the bits are the same.
 class ReferenceForce {
  public:
-  explicit ReferenceForce(const pot::EamTableSet& tables) : tables_(&tables) {}
+  explicit ReferenceForce(const pot::EamTableSet& tables);
+
+  /// Evaluate pair terms with the AVX2 unit (the default where this CPU
+  /// supports it) or, when off, with the scalar evaluator over the same
+  /// records. No scenario key reaches this switch: the tests use it to run
+  /// the scalar evaluator on an AVX2 host.
+  void set_simd(bool on) { simd_ = on && simd_supported(); }
+  bool simd() const { return simd_; }
+  static bool simd_supported();
 
   /// Pass 1: electron density at every owned atom (lattice + run-away).
-  void compute_rho(lat::LatticeNeighborList& lnl) const;
+  void compute_rho(lat::LatticeNeighborList& lnl);
 
   /// Pass 2: forces on every owned atom. Requires rho valid on owned AND
   /// ghost entries (run exchange_rho between passes in parallel runs).
@@ -52,6 +93,13 @@ class ReferenceForce {
   /// sum_i [ F(rho_i) + 1/2 sum_j phi(r_ij) ].
   double potential_energy(const lat::LatticeNeighborList& lnl) const;
 
+  /// The evaluate step over collected records (public for its unit test).
+  /// rho_terms: term[k] = f(r) of record k; force_terms: term[k] =
+  /// (phi'(r) + (fp0 + fprime[k]) f'(r)) / r, with r = max(sqrt(r2), r_min)
+  /// and the tables of pair[k].
+  void rho_terms(EamPairRecords& rec) const;
+  void force_terms(EamPairRecords& rec, double fp0) const;
+
   const pot::EamTableSet& tables() const { return *tables_; }
 
  private:
@@ -61,12 +109,22 @@ class ReferenceForce {
   /// after the rho exchange).
   void refresh_fprime_ghosts(const lat::LatticeNeighborList& lnl);
 
+  /// Collect -> evaluate -> sum for one central particle of type t0 at r0;
+  /// `visit` walks its neighbours (for_each_neighbor_of_entry/_runaway).
+  template <typename Visit>
+  double rho_of(const util::Vec3& r0, int t0, Visit&& visit);
+  template <typename Visit>
+  util::Vec3 force_on(const util::Vec3& r0, int t0, double fp0, Visit&& visit);
+
   void entry_forces(lat::LatticeNeighborList& lnl,
-                    std::span<const std::size_t> indices) const;
-  void runaway_forces(lat::LatticeNeighborList& lnl) const;
+                    std::span<const std::size_t> indices);
+  void runaway_forces(lat::LatticeNeighborList& lnl);
 
   const pot::EamTableSet* tables_;
+  std::vector<detail::EamPairView> views_;  ///< raw tables, per pair index
   std::vector<double> fprime_;  ///< F'(rho) per particle slot
+  EamPairRecords rec_;          ///< scratch of the particle being evaluated
+  bool simd_;
 };
 
 }  // namespace mmd::md

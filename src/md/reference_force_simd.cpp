@@ -1,0 +1,208 @@
+// AVX2 evaluator of the reference EAM pair terms. This TU is compiled with
+// -mavx2 -mno-fma -ffp-contract=off (see src/md/CMakeLists.txt); when the
+// toolchain cannot target AVX2 the stubs at the bottom compile instead and
+// eam_avx2_available() reports false, so ReferenceForce keeps its scalar
+// evaluator. It must not include potential/spline.h (checked at the end).
+//
+// Numerical contract: every lane computes exactly the scalar expression of
+// its record, one IEEE operation for one, in the same order —
+// CompactTable::segment_of and param, hermite::value / hermite::deriv_t,
+// the division by dx, and (phi' + (F'_i + F'_j) f') / r. Vector sqrt, add,
+// sub, mul and div round like their scalar forms, so the terms equal the
+// scalar evaluator's bit for bit. That holds only while nothing fuses a*b+c
+// on either side: this unit is built without FMA (CI disassembles its object
+// file to prove it), and a build that lets the compiler contract the scalar
+// expressions (a whole-tree -march=x86-64-v3) gives up the match there.
+
+#include "md/reference_force_kernels.h"
+
+#if defined(__FMA__)
+#error "reference_force_simd.cpp must be built with -mno-fma: fused a*b+c would change its bits"
+#endif
+
+#if defined(__AVX2__)
+
+#include <immintrin.h>
+
+namespace mmd::md::detail {
+
+namespace {
+
+/// One member of the four lanes' tables as a vector (lane l = record k + l).
+template <typename Get>
+inline __m256d per_lane(const EamTableView* const tv[4], Get&& get) {
+  return _mm256_set_pd(get(*tv[3]), get(*tv[2]), get(*tv[1]), get(*tv[0]));
+}
+
+/// Segment index and parameter t of each lane's r on its table's grid:
+/// i = clamp(int((r - x_min) / dx), 0, segments - 1),
+/// t = r / dx - x_min / dx - i.
+struct Segment {
+  std::int32_t i[4];
+  __m256d t;
+};
+
+inline Segment segment_of(const EamTableView* const tv[4], __m256d r) {
+  const __m256d x_min = per_lane(tv, [](const EamTableView& v) { return v.x_min; });
+  const __m256d dx = per_lane(tv, [](const EamTableView& v) { return v.dx; });
+  const __m256d xmin_over_dx =
+      per_lane(tv, [](const EamTableView& v) { return v.xmin_over_dx; });
+  __m128i i = _mm256_cvttpd_epi32(_mm256_div_pd(_mm256_sub_pd(r, x_min), dx));
+  i = _mm_max_epi32(i, _mm_setzero_si128());
+  i = _mm_min_epi32(i, _mm_set_epi32(tv[3]->last_segment, tv[2]->last_segment,
+                                     tv[1]->last_segment, tv[0]->last_segment));
+  Segment s;
+  s.t = _mm256_sub_pd(_mm256_sub_pd(_mm256_div_pd(r, dx), xmin_over_dx),
+                      _mm256_cvtepi32_pd(i));
+  s.i[0] = _mm_cvtsi128_si32(i);
+  s.i[1] = _mm_extract_epi32(i, 1);
+  s.i[2] = _mm_extract_epi32(i, 2);
+  s.i[3] = _mm_extract_epi32(i, 3);
+  return s;
+}
+
+/// The two samples and two node derivatives that bound each lane's segment.
+struct Nodes {
+  __m256d s0, s1, d0, d1;
+};
+
+/// Transpose four adjacent pairs (a_l[0], a_l[1]) into lo = a_*[0] and
+/// hi = a_*[1].
+inline void transpose_pairs(__m128d a0, __m128d a1, __m128d a2, __m128d a3,
+                            __m256d* lo, __m256d* hi) {
+  const __m256d even = _mm256_set_m128d(a2, a0);
+  const __m256d odd = _mm256_set_m128d(a3, a1);
+  *lo = _mm256_unpacklo_pd(even, odd);
+  *hi = _mm256_unpackhi_pd(even, odd);
+}
+
+inline Nodes nodes_of(const EamTableView* const tv[4], const std::int32_t i[4]) {
+  Nodes n;
+  transpose_pairs(_mm_loadu_pd(tv[0]->samples + i[0]),
+                  _mm_loadu_pd(tv[1]->samples + i[1]),
+                  _mm_loadu_pd(tv[2]->samples + i[2]),
+                  _mm_loadu_pd(tv[3]->samples + i[3]), &n.s0, &n.s1);
+  transpose_pairs(_mm_loadu_pd(tv[0]->node_derivs + i[0]),
+                  _mm_loadu_pd(tv[1]->node_derivs + i[1]),
+                  _mm_loadu_pd(tv[2]->node_derivs + i[2]),
+                  _mm_loadu_pd(tv[3]->node_derivs + i[3]), &n.d0, &n.d1);
+  return n;
+}
+
+/// Weights of s0, d0, s1, d1 in a Hermite cubic (or its d/dt) at t.
+struct Basis {
+  __m256d s0, d0, s1, d1;
+};
+
+inline __m256d mul(double c, __m256d x) { return _mm256_mul_pd(_mm256_set1_pd(c), x); }
+
+/// hermite::value: (2t^3 - 3t^2 + 1), (t^3 - 2t^2 + t), (-2t^3 + 3t^2), (t^3 - t^2).
+inline Basis value_basis(__m256d t) {
+  const __m256d t2 = _mm256_mul_pd(t, t);
+  const __m256d t3 = _mm256_mul_pd(t2, t);
+  return {_mm256_add_pd(_mm256_sub_pd(mul(2.0, t3), mul(3.0, t2)), _mm256_set1_pd(1.0)),
+          _mm256_add_pd(_mm256_sub_pd(t3, mul(2.0, t2)), t),
+          _mm256_add_pd(mul(-2.0, t3), mul(3.0, t2)),
+          _mm256_sub_pd(t3, t2)};
+}
+
+/// hermite::deriv_t: (6t^2 - 6t), (3t^2 - 4t + 1), (-6t^2 + 6t), (3t^2 - 2t).
+inline Basis deriv_basis(__m256d t) {
+  const __m256d t2 = _mm256_mul_pd(t, t);
+  return {_mm256_sub_pd(mul(6.0, t2), mul(6.0, t)),
+          _mm256_add_pd(_mm256_sub_pd(mul(3.0, t2), mul(4.0, t)), _mm256_set1_pd(1.0)),
+          _mm256_add_pd(mul(-6.0, t2), mul(6.0, t)),
+          _mm256_sub_pd(mul(3.0, t2), mul(2.0, t))};
+}
+
+/// ((w.s0 s0 + w.d0 d0) + w.s1 s1) + w.d1 d1, the scalar summation order.
+inline __m256d combine(const Basis& w, const Nodes& n) {
+  __m256d acc = _mm256_add_pd(_mm256_mul_pd(w.s0, n.s0), _mm256_mul_pd(w.d0, n.d0));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(w.s1, n.s1));
+  return _mm256_add_pd(acc, _mm256_mul_pd(w.d1, n.d1));
+}
+
+inline __m256d r_of(const double* r2, __m256d r_min) {
+  return _mm256_max_pd(_mm256_sqrt_pd(_mm256_loadu_pd(r2)), r_min);
+}
+
+}  // namespace
+
+bool eam_avx2_available() {
+  static const bool ok = __builtin_cpu_supports("avx2");
+  return ok;
+}
+
+void eam_rho_terms_avx2(const EamPairView* pairs, const std::int32_t* pair,
+                        const double* r2, std::size_t n, double r_min,
+                        double* out) {
+  const __m256d rmin = _mm256_set1_pd(r_min);
+  for (std::size_t k = 0; k < n; k += 4) {
+    const EamTableView* f[4];
+    for (int l = 0; l < 4; ++l) f[l] = &pairs[pair[k + l]].f;
+    const __m256d r = r_of(r2 + k, rmin);
+    const Segment seg = segment_of(f, r);
+    _mm256_storeu_pd(out + k, combine(value_basis(seg.t), nodes_of(f, seg.i)));
+  }
+}
+
+void eam_force_terms_avx2(const EamPairView* pairs, const std::int32_t* pair,
+                          const double* r2, const double* fprime, double fp0,
+                          std::size_t n, double r_min, double* out) {
+  const __m256d rmin = _mm256_set1_pd(r_min);
+  const __m256d fp0v = _mm256_set1_pd(fp0);
+  for (std::size_t k = 0; k < n; k += 4) {
+    const EamTableView* phi[4];
+    const EamTableView* f[4];
+    for (int l = 0; l < 4; ++l) {
+      phi[l] = &pairs[pair[k + l]].phi;
+      f[l] = &pairs[pair[k + l]].f;
+    }
+    const __m256d r = r_of(r2 + k, rmin);
+    // One segment lookup on phi's grid serves both tables.
+    const Segment seg = segment_of(phi, r);
+    const Basis w = deriv_basis(seg.t);
+    const __m256d dphi =
+        _mm256_div_pd(combine(w, nodes_of(phi, seg.i)),
+                      per_lane(phi, [](const EamTableView& v) { return v.dx; }));
+    const __m256d df =
+        _mm256_div_pd(combine(w, nodes_of(f, seg.i)),
+                      per_lane(f, [](const EamTableView& v) { return v.dx; }));
+    const __m256d fp = _mm256_add_pd(fp0v, _mm256_loadu_pd(fprime + k));
+    _mm256_storeu_pd(
+        out + k, _mm256_div_pd(_mm256_add_pd(dphi, _mm256_mul_pd(fp, df)), r));
+  }
+}
+
+}  // namespace mmd::md::detail
+
+#else  // !__AVX2__: toolchain could not target AVX2 — stub everything out.
+
+#include <cstdlib>
+
+namespace mmd::md::detail {
+
+bool eam_avx2_available() { return false; }
+
+// ReferenceForce never calls the evaluator when eam_avx2_available() is false.
+void eam_rho_terms_avx2(const EamPairView*, const std::int32_t*, const double*,
+                        std::size_t, double, double*) {
+  std::abort();
+}
+void eam_force_terms_avx2(const EamPairView*, const std::int32_t*,
+                          const double*, const double*, double, std::size_t,
+                          double, double*) {
+  std::abort();
+}
+
+}  // namespace mmd::md::detail
+
+#endif
+
+// potential/spline.h defines the compact-table evaluators inline. Included
+// here, they would be compiled as AVX2 code that the linker may keep for
+// every caller, which would then fault on a CPU without AVX2. Checked after
+// every #include above.
+#ifdef MMD_POTENTIAL_SPLINE_H
+#error "reference_force_simd.cpp is built with -mavx2 and must not include potential/spline.h"
+#endif

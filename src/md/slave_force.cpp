@@ -91,8 +91,7 @@ void SlaveForceCompute::refresh_fprime_owned(const lat::LatticeNeighborList& lnl
 void SlaveForceCompute::refresh_fprime_ghosts(const lat::LatticeNeighborList& lnl) {
   const auto& embed = tables_->embed_of(0);
   double* fp = planes_.fprime();
-  for (std::size_t i = 0; i < lnl.size(); ++i) {
-    if (lnl.is_owned(i)) continue;
+  for (std::size_t i : lnl.ghost_indices()) {
     const lat::AtomEntry& e = lnl.entry(i);
     fp[planes_.slot(i)] = e.is_atom() ? embed.derivative(e.rho) : 0.0;
   }

@@ -3,8 +3,10 @@
 // The table evaluators below are defined inline, so every translation unit
 // that includes this header compiles its own copy and the linker keeps one of
 // them for all callers. A copy compiled with -mfma would contract a*b+c into
-// FMA and change the bits of every caller, so such a unit must not include
-// this header; src/md/slave_force_simd.cpp #errors on this marker.
+// FMA and change the bits of every caller, and a copy compiled with -mavx2
+// would fault on CPUs without AVX2, so such units must not include this
+// header; src/md/slave_force_simd.cpp and src/md/reference_force_simd.cpp
+// #error on this marker.
 #define MMD_POTENTIAL_SPLINE_H 1
 
 #include <algorithm>
@@ -128,6 +130,8 @@ class CompactTable {
 
   const double* samples() const { return samples_.data(); }
   std::int64_t num_samples() const { return static_cast<std::int64_t>(samples_.size()); }
+  /// The host node-derivative plane, one entry per sample (read-only).
+  const double* node_derivatives() const { return node_derivs_.data(); }
 
   double value(double x) const {
     double v;

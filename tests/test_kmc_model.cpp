@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/world.h"
@@ -159,6 +161,28 @@ TEST(KmcModel, VacancyLowersNeighborRho) {
   // Remove a 1NN atom.
   m.set_state_global(rig.geo.site_id({4, 4, 4, 1}), SiteState::Vacancy);
   EXPECT_LT(m.rho_at(center), rho0);
+}
+
+TEST(KmcModel, EnergeticsRejectStencilsLeavingStorage) {
+  // The energetics walk flat deltas, valid only where the whole cutoff
+  // stencil lies in storage: owned sites and their halo 1NN partners. A
+  // site on the storage edge is refused with an exception naming it.
+  Rig rig(small_config(), 1);
+  KmcModel m(rig.cfg, rig.geo, rig.dd, rig.tables, 0);
+  const int h = m.box().halo;
+  EXPECT_NO_THROW(m.rho_at(m.index_of_local({-1, 0, 0, 1})));
+  EXPECT_NO_THROW(m.exchange_dE(m.index_of_local({0, 0, 0, 0}),
+                                m.index_of_local({-1, -1, -1, 1})));
+  const std::size_t edge = m.index_of_local({-h, 0, 0, 0});
+  try {
+    m.rho_at(edge);
+    ADD_FAILURE() << "rho_at accepted a stencil that leaves storage";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(edge)), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(m.pair_energy_at(edge, static_cast<std::size_t>(-1)),
+               std::out_of_range);
 }
 
 TEST(KmcModel, RateFollowsArrhenius) {

@@ -252,6 +252,21 @@ TEST(Lnl, ClearGhostsDropsGhostChains) {
   EXPECT_TRUE(lnl.entry(ghost).is_unset());
 }
 
+TEST(Lnl, GhostIndicesAreTheAscendingComplementOfOwned) {
+  BccGeometry g(4, 4, 4, kA);
+  LocalBox box{0, 0, 0, 2, 4, 4, 2};
+  LatticeNeighborList lnl(g, box, kCut);
+  const std::vector<std::size_t>& ghosts = lnl.ghost_indices();
+  EXPECT_TRUE(std::is_sorted(ghosts.begin(), ghosts.end()));
+  EXPECT_EQ(ghosts.size() + lnl.owned_indices().size(), lnl.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < lnl.size(); ++i) {
+    if (lnl.is_owned(i)) continue;
+    ASSERT_LT(next, ghosts.size());
+    EXPECT_EQ(ghosts[next++], i);
+  }
+}
+
 TEST(Lnl, NearestOwnedEntryClamps) {
   BccGeometry g(4, 4, 4, kA);
   LocalBox box{0, 0, 0, 2, 4, 4, 2};  // pretend a 2-cell-wide subdomain

@@ -1,14 +1,17 @@
 // Deep physics checks of the EAM force engine: analytic dimer limits,
 // force-energy consistency (F = -dE/dx by finite differences), and
-// translational invariance. Plus a bitwise oracle: the production kernel
-// (cached F'(rho) plane, one table window per pair) against a frozen
-// per-pair kernel on a multi-rank cascade.
+// translational invariance. Plus bitwise oracles: the production passes
+// (collect -> evaluate -> sum, cached F'(rho) plane, one table window per
+// pair, vector and scalar evaluator) against frozen per-pair rho and force
+// kernels on multi-rank Fe and Fe-Cu cascades, and the evaluate step alone
+// against the scalar expressions.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <vector>
 
 #include "lattice/ghost_exchange.h"
 #include "md/engine.h"
@@ -176,6 +179,38 @@ TEST(ReferenceForce, DimerForceIsRadialAndAntisymmetric) {
   });
 }
 
+/// Two evaluations that must agree bit for bit, unless the build contracts
+/// a*b+c into FMA (e.g. -march=x86-64-v3): there this file's frozen kernels
+/// and the library's scalar evaluator fuse where the vector evaluator, built
+/// without FMA, does not (the convention of test_eam.cpp).
+bool differs(double a, double b) {
+#if defined(__FMA__)
+  return std::abs(a - b) > 1e-12 * std::max(1.0, std::abs(b));
+#else
+  return a != b;
+#endif
+}
+
+bool differs(const util::Vec3& a, const util::Vec3& b) {
+  return differs(a.x, b.x) || differs(a.y, b.y) || differs(a.z, b.z);
+}
+
+/// Frozen per-pair EAM density kernel: one table lookup per pair, summed in
+/// visit order.
+template <typename Visit>
+double per_pair_rho(const pot::EamTableSet& tables, const util::Vec3& r0,
+                    int t0, Visit&& visit) {
+  const double cut2 = tables.cutoff * tables.cutoff;
+  double rho = 0.0;
+  visit([&](const lat::ParticleView& p) {
+    const double r2 = (p.r - r0).norm2();
+    if (r2 > cut2) return;
+    const double r = std::max(std::sqrt(r2), tables.r_min);
+    rho += tables.f(t0, static_cast<int>(p.type)).value(r);
+  });
+  return rho;
+}
+
 /// Frozen per-pair EAM force kernel: phi' and f' from two separate table
 /// lookups, and the neighbour's F'(rho_j) evaluated for every pair. The
 /// production kernel caches F'(rho) per particle and shares one window
@@ -203,81 +238,193 @@ util::Vec3 per_pair_force(const pot::EamTableSet& tables, const util::Vec3& r0,
   return force;
 }
 
-class ReferenceForceOracle : public ::testing::TestWithParam<int> {};
+/// Mismatches of one evaluator against the frozen kernels.
+struct Mismatches {
+  std::size_t rho = 0, force = 0;
+};
 
-TEST_P(ReferenceForceOracle, CascadeForcesMatchPerPairKernelBitwise) {
-  // Two 80 eV knock-ons, one beside the centre planes where 2- and 4-rank
-  // decompositions cut the box and one beside the periodic faces, so that
-  // after a few steps run-aways exist and their ghost chains carry rho on
-  // every rank count. The engine's force on every owned entry and owned
-  // run-away must equal the frozen kernel's, evaluated on the same
-  // positions and (exchanged) rho.
-  const int nranks = GetParam();
+struct OracleTally {
+  std::size_t compared = 0, runaways_compared = 0, ghost_chain_nodes = 0;
+  std::size_t solutes = 0;
+  Mismatches engine;  ///< the engine's ReferenceForce (AVX2 where supported)
+  Mismatches scalar;  ///< a ReferenceForce with the vector unit off
+};
+
+/// Counts a mismatch of one particle's rho and force against the frozen
+/// kernels' values.
+template <typename Particle>
+void tally(Mismatches& m, const Particle& p, double rho, const util::Vec3& f) {
+  if (differs(p.rho, rho)) ++m.rho;
+  if (differs(p.f, f)) ++m.force;
+}
+
+/// Two 80 eV knock-ons, one beside the centre planes where 2- and 4-rank
+/// decompositions cut the box and one beside the periodic faces, so that
+/// after a few steps run-aways exist and their ghost chains carry rho on
+/// every rank count. After every step the engine's rho and force on every
+/// owned entry and owned run-away are compared with the frozen kernels',
+/// evaluated on the same positions (the forces on the same exchanged rho).
+/// The engine's ReferenceForce runs its vector evaluator where the CPU has
+/// AVX2; a second one with the vector unit off recomputes rho and forces on
+/// a copy of the engine's lattice, whose ghosts carry the engine's exchanged
+/// rho, so the scalar evaluator is checked on the same states.
+/// `solute` > 0 runs Fe-Cu tables with that Cu fraction seeded.
+OracleTally run_cascade_oracle(int nranks, double solute, int steps) {
   MdConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 8;
   cfg.temperature = 600.0;
   cfg.table_segments = 2000;
   const MdSetup setup(cfg, nranks);
-  const auto tables = pot::EamTableSet::build(
-      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), cfg.table_segments);
-  constexpr int kSteps = 40;
+  const pot::EamModel model =
+      solute > 0.0 ? pot::EamModel::iron_copper(cfg.lattice_constant, cfg.cutoff)
+                   : pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff);
+  const auto tables = pot::EamTableSet::build(model, cfg.table_segments);
 
   std::mutex m;
-  std::size_t compared = 0, mismatches = 0, runaways_compared = 0;
-  std::size_t ghost_chain_nodes = 0;
+  OracleTally total;
   comm::World world(nranks);
   world.run([&](comm::Comm& comm) {
     MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
+    ReferenceForce scalar(tables);
+    scalar.set_simd(false);
     engine.initialize(comm);
+    if (solute > 0.0) engine.seed_solutes(comm, solute);
     engine.inject_pka(comm, setup.geo.site_id({3, 3, 3, 1}),
                       util::Vec3{1.0, 0.6, 0.3}, 80.0);
     engine.inject_pka(comm, setup.geo.site_id({7, 0, 7, 1}),
                       util::Vec3{0.4, -1.0, 0.7}, 80.0);
-    std::size_t n = 0, bad = 0, n_runaway = 0, n_ghost_chain = 0;
-    for (int s = 0; s < kSteps; ++s) {
+    OracleTally t;
+    for (int s = 0; s < steps; ++s) {
       engine.step(comm);
       const lat::LatticeNeighborList& lnl = engine.lattice();
+      lat::LatticeNeighborList copy = lnl;
+      scalar.compute_rho(copy);
+      scalar.compute_forces(copy);
       for (std::size_t idx : lnl.owned_indices()) {
         const lat::AtomEntry& e = lnl.entry(idx);
         if (!e.is_atom()) continue;
-        const util::Vec3 f = per_pair_force(
-            tables, e.r, static_cast<int>(e.type), e.rho,
-            [&](auto&& v) { lnl.for_each_neighbor_of_entry(idx, v); });
-        ++n;
-        if (!(f == e.f)) ++bad;
+        auto visit = [&](auto&& v) { lnl.for_each_neighbor_of_entry(idx, v); };
+        const int type = static_cast<int>(e.type);
+        ++t.compared;
+        if (e.type != lat::Species::Fe) ++t.solutes;
+        const double rho = per_pair_rho(tables, e.r, type, visit);
+        const util::Vec3 f = per_pair_force(tables, e.r, type, e.rho, visit);
+        tally(t.engine, e, rho, f);
+        tally(t.scalar, copy.entry(idx), rho, f);
       }
       lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t host) {
         const lat::RunawayAtom& a = lnl.runaway(ri);
-        const util::Vec3 f = per_pair_force(
-            tables, a.r, static_cast<int>(a.type), a.rho,
-            [&](auto&& v) { lnl.for_each_neighbor_of_runaway(ri, host, v); });
-        ++n_runaway;
-        if (!(f == a.f)) ++bad;
+        auto visit = [&](auto&& v) { lnl.for_each_neighbor_of_runaway(ri, host, v); };
+        const int type = static_cast<int>(a.type);
+        ++t.runaways_compared;
+        const double rho = per_pair_rho(tables, a.r, type, visit);
+        const util::Vec3 f = per_pair_force(tables, a.r, type, a.rho, visit);
+        tally(t.engine, a, rho, f);
+        tally(t.scalar, copy.runaway(ri), rho, f);
       });
-      for (std::size_t idx = 0; idx < lnl.size(); ++idx) {
-        if (lnl.is_owned(idx)) continue;
+      for (std::size_t idx : lnl.ghost_indices()) {
         for (std::int32_t ri = lnl.entry(idx).runaway_head;
              ri != lat::AtomEntry::kNoRunaway; ri = lnl.runaway(ri).next) {
-          if (lnl.runaway(ri).rho > 0.0) ++n_ghost_chain;
+          if (lnl.runaway(ri).rho > 0.0) ++t.ghost_chain_nodes;
         }
       }
     }
     std::lock_guard lk(m);
-    compared += n;
-    mismatches += bad;
-    runaways_compared += n_runaway;
-    ghost_chain_nodes += n_ghost_chain;
+    total.compared += t.compared;
+    total.runaways_compared += t.runaways_compared;
+    total.ghost_chain_nodes += t.ghost_chain_nodes;
+    total.solutes += t.solutes;
+    total.engine.rho += t.engine.rho;
+    total.engine.force += t.engine.force;
+    total.scalar.rho += t.scalar.rho;
+    total.scalar.force += t.scalar.force;
   });
-  EXPECT_EQ(compared, static_cast<std::size_t>(kSteps * setup.geo.num_sites()) -
-                          runaways_compared)
+  EXPECT_EQ(total.compared, static_cast<std::size_t>(steps * setup.geo.num_sites()) -
+                                total.runaways_compared)
       << "every atom is either an owned entry or an owned run-away";
-  EXPECT_EQ(mismatches, 0u);
-  EXPECT_GT(runaways_compared, 0u);
-  EXPECT_GT(ghost_chain_nodes, 0u);
+  return total;
+}
+
+/// Both evaluators must equal the frozen kernels on every compared particle.
+void expect_no_mismatches(const OracleTally& t) {
+  EXPECT_EQ(t.engine.rho, 0u) << "engine evaluator, simd supported: "
+                              << ReferenceForce::simd_supported();
+  EXPECT_EQ(t.engine.force, 0u) << "engine evaluator, simd supported: "
+                                << ReferenceForce::simd_supported();
+  EXPECT_EQ(t.scalar.rho, 0u) << "scalar evaluator";
+  EXPECT_EQ(t.scalar.force, 0u) << "scalar evaluator";
+}
+
+class ReferenceForceOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReferenceForceOracle, CascadeForcesMatchPerPairKernelBitwise) {
+  // Pure Fe: rho and F of the vector and the scalar evaluator must both
+  // equal the frozen per-pair kernels.
+  const OracleTally t = run_cascade_oracle(GetParam(), 0.0, 40);
+  expect_no_mismatches(t);
+  EXPECT_GT(t.runaways_compared, 0u);
+  EXPECT_GT(t.ghost_chain_nodes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ReferenceForceOracle,
                          ::testing::Values(1, 2, 4));
+
+TEST(ReferenceForceAlloyOracle, MixedCascadeMatchesPerPairKernelsBitwise) {
+  // Fe-Cu: a central atom's neighbourhood mixes Fe-Fe and Fe-Cu (or Cu-Fe
+  // and Cu-Cu) pair tables, so the vector lanes read different tables.
+  const OracleTally t = run_cascade_oracle(2, 0.2, 25);
+  EXPECT_GT(t.solutes, t.compared / 10);
+  expect_no_mismatches(t);
+}
+
+TEST(ReferenceForceEvaluator, VectorTermsMatchScalarExpressions) {
+  // The evaluate step alone, on Fe-Cu tables (three pair tables, assigned
+  // round-robin so every group of four lanes mixes them). r sweeps every
+  // segment's node and an interior point, below r_min (clamped) and past
+  // the last node (clamped); record counts 1..3 beyond a multiple of four
+  // exercise the scalar tail. Each term must equal the scalar expression.
+  const pot::EamTableSet tables = pot::EamTableSet::build(
+      pot::EamModel::iron_copper(kA, 5.0), 300);
+  ReferenceForce force(tables);
+  force.set_simd(true);
+  if (!force.simd()) GTEST_SKIP() << "this CPU has no AVX2";
+
+  std::vector<double> rs = {0.0, 0.5 * tables.r_min, tables.r_min,
+                            tables.cutoff, 1.01 * tables.cutoff};
+  const pot::CompactTable& grid = tables.pairs[0].phi;
+  for (int i = 0; i <= grid.segments(); ++i) {
+    rs.push_back(grid.x_min() + i * grid.dx());
+    rs.push_back(grid.x_min() + (i + 0.37) * grid.dx());
+  }
+  const std::size_t whole = rs.size() - rs.size() % 4;
+  const double fp0 = -0.41;
+  std::size_t checked = 0, mismatches = 0;
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, whole - 4,
+                        whole - 3, whole - 2, whole - 1}) {
+    EamPairRecords rec;
+    for (std::size_t k = 0; k < n; ++k) {
+      rec.r2.push_back(rs[k] * rs[k]);
+      rec.pair.push_back(static_cast<std::int32_t>(k % tables.pairs.size()));
+      rec.fprime.push_back(-0.2 - 0.01 * static_cast<double>(k % 7));
+    }
+    force.rho_terms(rec);
+    const std::vector<double> rho_terms = rec.term;
+    force.force_terms(rec, fp0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto& p = tables.pairs[static_cast<std::size_t>(rec.pair[k])];
+      const double r = std::max(std::sqrt(rec.r2[k]), tables.r_min);
+      double dphi, df;
+      p.derivatives(r, &dphi, &df);
+      const double scale = (dphi + (fp0 + rec.fprime[k]) * df) / r;
+      if (differs(rho_terms[k], p.f.value(r)) || differs(rec.term[k], scale)) {
+        ++mismatches;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 2u * 300u);
+  EXPECT_EQ(mismatches, 0u);
+}
 
 TEST(ReferenceForce, PotentialEnergyDeterministicAcrossRuns) {
   Crystal x;
