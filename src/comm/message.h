@@ -5,6 +5,8 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace mmd::comm {
@@ -88,31 +90,75 @@ std::vector<T> unpack(std::span<const std::byte> bytes) {
 }
 
 /// Builder for a multi-section payload: each section is a u64 byte count
-/// followed by the raw bytes of a trivially-copyable span. Aggregating the
-/// logically separate arrays of one exchange step (halo entries + run-away
-/// chains + emigrants, or rho values + chain rho) into ONE message per peer
-/// replaces several small sends with a single large one — the per-message
-/// latency amortization behind the NeighborhoodExchange refactor.
+/// followed by the raw bytes of its trivially-copyable records. Aggregating
+/// the logically separate arrays of one exchange step (halo records +
+/// run-away chains + emigrants, or rho values + chain rho) into ONE message
+/// per peer replaces several small sends with a single large one — the
+/// per-message latency amortization behind the NeighborhoodExchange
+/// refactor. A built payload can be handed to a by-move send (release()),
+/// so its bytes are written once, here, and read once by the receiver.
 class SectionWriter {
  public:
+  /// Append a section copied from `items`.
   template <typename T>
   void add(std::span<const T> items) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = items.size_bytes();
-    const auto* hdr = reinterpret_cast<const std::byte*>(&n);
-    buf_.insert(buf_.end(), hdr, hdr + sizeof n);
+    put(n);
     if (n != 0) {
       const auto* data = reinterpret_cast<const std::byte*>(items.data());
       buf_.insert(buf_.end(), data, data + n);
     }
   }
 
+  /// Append a section of n records, record k being make(k), serialized
+  /// straight into the payload: no staging array.
+  template <typename T, typename Make>
+  void add_each(std::size_t n, Make&& make) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    put(std::uint64_t{n * sizeof(T)});
+    for (std::size_t k = 0; k < n; ++k) put<T>(make(k));
+  }
+
+  /// Reserve room for a payload of `bytes` (headers included), so the
+  /// sections that follow are written without reallocating.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
   std::span<const std::byte> bytes() const { return buf_; }
   bool empty() const { return buf_.empty(); }
   void clear() { buf_.clear(); }
 
+  /// Hand the payload over (for Comm's by-move sends); the writer is left
+  /// empty.
+  std::vector<std::byte> release() { return std::exchange(buf_, {}); }
+
  private:
+  template <typename T>
+  void put(const T& item) {
+    const auto* p = reinterpret_cast<const std::byte*>(&item);
+    buf_.insert(buf_.end(), p, p + sizeof(T));
+  }
+
   std::vector<std::byte> buf_;
+};
+
+/// Records of one payload section, read in place: operator[] copies record
+/// k out of the message bytes, so nothing is staged.
+template <typename T>
+class SectionView {
+ public:
+  explicit SectionView(std::span<const std::byte> bytes) : bytes_(bytes) {}
+
+  std::size_t size() const { return bytes_.size() / sizeof(T); }
+  std::span<const std::byte> bytes() const { return bytes_; }
+  T operator[](std::size_t k) const {
+    T item;
+    std::memcpy(&item, bytes_.data() + k * sizeof(T), sizeof(T));
+    return item;
+  }
+
+ private:
+  std::span<const std::byte> bytes_;
 };
 
 /// Reader for a SectionWriter payload; sender and receiver agree on the
@@ -121,8 +167,18 @@ class SectionReader {
  public:
   explicit SectionReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
+  /// The next section, copied out.
   template <typename T>
   std::vector<T> take() {
+    const SectionView<T> v = view<T>();
+    std::vector<T> out(v.size());
+    if (!out.empty()) std::memcpy(out.data(), v.bytes().data(), v.bytes().size());
+    return out;
+  }
+
+  /// The next section, read in place (valid while the payload lives).
+  template <typename T>
+  SectionView<T> view() {
     static_assert(std::is_trivially_copyable_v<T>);
     std::uint64_t n = 0;
     if (pos_ + sizeof n > bytes_.size()) {
@@ -130,14 +186,13 @@ class SectionReader {
     }
     std::memcpy(&n, bytes_.data() + pos_, sizeof n);
     pos_ += sizeof n;
-    if (pos_ + n > bytes_.size()) {
+    if (n > bytes_.size() - pos_) {
       throw std::runtime_error("SectionReader: truncated section payload");
     }
     if (n % sizeof(T) != 0) {
       throw std::runtime_error("SectionReader: section size misaligned");
     }
-    std::vector<T> out(n / sizeof(T));
-    if (n != 0) std::memcpy(out.data(), bytes_.data() + pos_, n);
+    const SectionView<T> out(bytes_.subspan(pos_, n));
     pos_ += n;
     return out;
   }

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/world.h"
@@ -40,6 +41,11 @@ class NeighborhoodExchange {
   /// Nonblocking aggregated send on an outbound channel.
   void send(int peer, int tag, std::span<const std::byte> payload) {
     sends_.push_back(comm_->isend_bytes(peer, tag, payload));
+  }
+
+  /// Same, handing a built payload (SectionWriter::release) over by move.
+  void send(int peer, int tag, std::vector<std::byte>&& payload) {
+    sends_.push_back(comm_->isend_bytes(peer, tag, std::move(payload)));
   }
 
   std::size_t expected() const { return recvs_.size(); }

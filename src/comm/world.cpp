@@ -310,17 +310,22 @@ std::shared_ptr<PutWindow> World::create_window(int me) {
 }
 
 void Comm::send_bytes(int dst, int tag, std::span<const std::byte> data) {
+  send_bytes(dst, tag, std::vector<std::byte>(data.begin(), data.end()));
+}
+
+void Comm::send_bytes(int dst, int tag, std::vector<std::byte>&& payload) {
   Message m;
   m.src = rank_;
   m.tag = tag;
-  m.payload.assign(data.begin(), data.end());
+  m.payload = std::move(payload);
+  const std::size_t bytes = m.payload.size();
   auto& t = my_traffic();
   ++t.p2p_msgs_sent;
-  t.p2p_bytes_sent += data.size();
+  t.p2p_bytes_sent += bytes;
   if (rec_ != nullptr) {
     telemetry::CommEvent ev;
     ev.t0_ns = rec_->now_ns();
-    ev.bytes = data.size();
+    ev.bytes = bytes;
     ev.peer = dst;
     ev.tag = tag;
     ev.op = telemetry::CommOp::kSend;
@@ -333,7 +338,11 @@ void Comm::send_bytes(int dst, int tag, std::span<const std::byte> data) {
 }
 
 Request Comm::isend_bytes(int dst, int tag, std::span<const std::byte> data) {
-  send_bytes(dst, tag, data);
+  return isend_bytes(dst, tag, std::vector<std::byte>(data.begin(), data.end()));
+}
+
+Request Comm::isend_bytes(int dst, int tag, std::vector<std::byte>&& payload) {
+  send_bytes(dst, tag, std::move(payload));
   auto state = std::make_shared<RequestState>();
   state->done = true;     // buffered: delivery already happened
   state->is_send = true;  // wait paths must not record it as a receive

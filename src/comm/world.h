@@ -213,6 +213,10 @@ class Comm {
   /// Blocking untyped send (buffered: never deadlocks on unmatched sends).
   void send_bytes(int dst, int tag, std::span<const std::byte> data);
 
+  /// Blocking send that hands a built payload over instead of copying it:
+  /// the receiver's Message owns this very buffer.
+  void send_bytes(int dst, int tag, std::vector<std::byte>&& payload);
+
   /// Blocking typed send of trivially-copyable elements.
   template <typename T>
   void send(int dst, int tag, std::span<const T> items) {
@@ -227,6 +231,10 @@ class Comm {
   /// and delivered before return — so the request is born complete; waiting
   /// on it is a no-op kept for MPI-shaped symmetry.
   Request isend_bytes(int dst, int tag, std::span<const std::byte> data);
+
+  /// Nonblocking by-move send: delivered like the copying one, without the
+  /// copy.
+  Request isend_bytes(int dst, int tag, std::vector<std::byte>&& payload);
 
   /// Nonblocking typed send of trivially-copyable elements.
   template <typename T>

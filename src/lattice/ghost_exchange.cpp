@@ -92,7 +92,10 @@ GhostExchange::GhostExchange(LatticeNeighborList& lnl,
 // downstream adopt() sequence — and with it the trajectory — is independent
 // of which neighbor answered first.
 void GhostExchange::exchange(comm::Comm& comm, std::vector<RunawayAtom> emigrants) {
-  lnl_->clear_ghosts();
+  // The receive slabs tile the halo, so every ghost entry is overwritten
+  // below; only its chain must be emptied first.
+  lnl_->release_ghost_chains();
+  adopted_.clear();
   for (int axis = 0; axis < 3; ++axis) {
     std::array<std::vector<RunawayAtom>, 2> outbound;
     route_emigrants(axis, emigrants, outbound[0], outbound[1]);
@@ -105,11 +108,11 @@ void GhostExchange::exchange(comm::Comm& comm, std::vector<RunawayAtom> emigrant
                 axis_side(comm::tags::kGhostHalo, axis, 1 - side));
     }
     for (int side = 0; side < 2; ++side) {
-      comm::SectionWriter w;
-      pack_side(axis, side, std::move(outbound[static_cast<std::size_t>(side)]), w);
-      bytes_sent_ += w.bytes().size();
+      std::vector<std::byte> payload =
+          pack_side(axis, side, std::move(outbound[static_cast<std::size_t>(side)]));
+      bytes_sent_ += payload.size();
       nx.send(sides_[axis][side].peer,
-              axis_side(comm::tags::kGhostHalo, axis, side), w.bytes());
+              axis_side(comm::tags::kGhostHalo, axis, side), std::move(payload));
     }
     std::array<std::vector<RunawayAtom>, 2> arrived;
     nx.complete([&](std::size_t side, comm::Message&& m) {
@@ -122,15 +125,18 @@ void GhostExchange::exchange(comm::Comm& comm, std::vector<RunawayAtom> emigrant
   adopt(emigrants);
 }
 
-void GhostExchange::pack_side(int axis, int side,
-                              std::vector<RunawayAtom> migrants,
-                              comm::SectionWriter& w) const {
+std::vector<std::byte> GhostExchange::pack_side(
+    int axis, int side, std::vector<RunawayAtom> migrants) const {
   const Side& s = sides_[axis][side];
-  std::vector<AtomEntry> entries;
-  entries.reserve(s.send_idx.size());
-  std::vector<PackedRunaway> chains;
-  for (std::size_t pos = 0; pos < s.send_idx.size(); ++pos) {
-    AtomEntry e = lnl_->entry(s.send_idx[pos]);
+  comm::SectionWriter w;
+  // Exact room for the records and emigrants, and an upper bound for the
+  // chains (every live pool node), so no section reallocates the payload.
+  w.reserve(3 * sizeof(std::uint64_t) + s.send_idx.size() * sizeof(GhostRecord) +
+            lnl_->count_live_runaways() * sizeof(PackedRunaway) +
+            migrants.size() * sizeof(RunawayAtom));
+  std::vector<PackedRunaway> chains;  // staged: the section follows the records
+  w.add_each<GhostRecord>(s.send_idx.size(), [&](std::size_t pos) {
+    const AtomEntry& e = lnl_->entry(s.send_idx[pos]);
     for (std::int32_t ri = e.runaway_head; ri != AtomEntry::kNoRunaway;
          ri = lnl_->runaway(ri).next) {
       PackedRunaway p{static_cast<std::int32_t>(pos), 0, lnl_->runaway(ri)};
@@ -138,35 +144,42 @@ void GhostExchange::pack_side(int axis, int side,
       p.atom.next = AtomEntry::kNoRunaway;
       chains.push_back(p);
     }
-    e.runaway_head = AtomEntry::kNoRunaway;
-    e.r += s.shift;
-    entries.push_back(e);
-  }
+    return GhostRecord{e.r + s.shift, e.rho, e.id, e.type};
+  });
   for (RunawayAtom& a : migrants) a.r += s.shift;
-  w.add(std::span<const AtomEntry>(entries));
   w.add(std::span<const PackedRunaway>(chains));
   w.add(std::span<const RunawayAtom>(migrants));
+  return w.release();
 }
 
 std::vector<RunawayAtom> GhostExchange::unpack_side(int axis, int side,
                                                     const comm::Message& m) {
   const Side& s = sides_[axis][side];
   comm::SectionReader r(m.payload);
-  auto entries = r.take<AtomEntry>();
-  if (entries.size() != s.recv_idx.size()) {
+  const auto ghosts = r.view<GhostRecord>();
+  if (ghosts.size() != s.recv_idx.size()) {
     throw std::runtime_error("GhostExchange: slab size mismatch between peers");
   }
-  for (std::size_t pos = 0; pos < entries.size(); ++pos) {
-    entries[pos].runaway_head = AtomEntry::kNoRunaway;
-    lnl_->entry(s.recv_idx[pos]) = entries[pos];
+  for (std::size_t pos = 0; pos < ghosts.size(); ++pos) {
+    const GhostRecord g = ghosts[pos];
+    AtomEntry& e = lnl_->entry(s.recv_idx[pos]);
+    e.r = g.r;
+    e.rho = g.rho;
+    e.id = g.id;
+    e.type = g.type;
   }
-  auto chains = r.take<PackedRunaway>();
+  const auto chains = r.view<PackedRunaway>();
   // add_runaway pushes at the head, so insert each host's nodes in reverse to
   // preserve the sender's chain order (exchange_rho depends on it).
-  for (auto it = chains.rbegin(); it != chains.rend(); ++it) {
-    lnl_->add_runaway(it->atom, s.recv_idx[static_cast<std::size_t>(it->slab_pos)]);
+  for (std::size_t k = chains.size(); k-- > 0;) {
+    const PackedRunaway p = chains[k];
+    lnl_->add_runaway(p.atom, s.recv_idx[static_cast<std::size_t>(p.slab_pos)]);
   }
-  return r.take<RunawayAtom>();
+  std::vector<RunawayAtom> emigrants = r.take<RunawayAtom>();
+  if (!r.exhausted()) {
+    throw std::runtime_error("GhostExchange: trailing bytes in a halo message");
+  }
+  return emigrants;
 }
 
 void GhostExchange::route_emigrants(int axis, std::vector<RunawayAtom>& pending,
@@ -208,10 +221,15 @@ void GhostExchange::adopt(std::vector<RunawayAtom>& settled) {
       h.rho = a.rho;
     } else {
       a.next = AtomEntry::kNoRunaway;
-      lnl_->add_runaway(a, host);
+      adopted_.push_back(lnl_->add_runaway(a, host));
     }
   }
   settled.clear();
+}
+
+bool GhostExchange::has_ghost_images(std::int32_t ri) const {
+  return adopted_.empty() ||
+         std::find(adopted_.begin(), adopted_.end(), ri) == adopted_.end();
 }
 
 // Reverse accumulation ships each side's halo values (recv_idx lists) back
@@ -277,22 +295,22 @@ void GhostExchange::post_rho_axis(int axis, comm::NeighborhoodExchange& nx) {
   }
   for (int side = 0; side < 2; ++side) {
     const Side& s = sides_[axis][side];
-    std::vector<double> rho;
-    rho.reserve(s.send_idx.size());
+    comm::SectionWriter w;
+    w.reserve(2 * sizeof(std::uint64_t) +
+              (s.send_idx.size() + lnl_->count_live_runaways()) * sizeof(double));
     std::vector<double> chain_rho;
-    for (std::size_t idx : s.send_idx) {
-      const AtomEntry& e = lnl_->entry(idx);
-      rho.push_back(e.rho);
+    w.add_each<double>(s.send_idx.size(), [&](std::size_t pos) {
+      const AtomEntry& e = lnl_->entry(s.send_idx[pos]);
       for (std::int32_t ri = e.runaway_head; ri != AtomEntry::kNoRunaway;
            ri = lnl_->runaway(ri).next) {
+        if (!has_ghost_images(ri)) continue;
         chain_rho.push_back(lnl_->runaway(ri).rho);
       }
-    }
-    comm::SectionWriter w;
-    w.add(std::span<const double>(rho));
+      return e.rho;
+    });
     w.add(std::span<const double>(chain_rho));
     bytes_sent_ += w.bytes().size();
-    nx.send(s.peer, axis_side(comm::tags::kGhostRho, axis, side), w.bytes());
+    nx.send(s.peer, axis_side(comm::tags::kGhostRho, axis, side), w.release());
   }
 }
 
@@ -301,19 +319,29 @@ void GhostExchange::complete_rho_axis(int axis, comm::NeighborhoodExchange& nx) 
     // The two sides' slabs are disjoint: unpack on arrival.
     const Side& s = sides_[axis][side];
     comm::SectionReader r(m.payload);
-    auto rho = r.take<double>();
-    auto chain_rho = r.take<double>();
-    if (rho.size() != s.recv_idx.size()) {
+    const auto rho = r.view<double>();
+    const auto chain_rho = r.view<double>();
+    if (rho.size() != s.recv_idx.size() || !r.exhausted()) {
       throw std::runtime_error("GhostExchange: rho slab size mismatch");
     }
+    // Chain values are matched to nodes by position, so a chain that lost or
+    // gained a node since exchange() would shift every later value.
     std::size_t ci = 0;
     for (std::size_t pos = 0; pos < rho.size(); ++pos) {
       AtomEntry& e = lnl_->entry(s.recv_idx[pos]);
       e.rho = rho[pos];
       for (std::int32_t ri = e.runaway_head; ri != AtomEntry::kNoRunaway;
            ri = lnl_->runaway(ri).next) {
-        lnl_->runaway(ri).rho = chain_rho.at(ci++);
+        if (ci == chain_rho.size()) {
+          throw std::runtime_error(
+              "GhostExchange: ghost chains hold more nodes than the sender's");
+        }
+        lnl_->runaway(ri).rho = chain_rho[ci++];
       }
+    }
+    if (ci != chain_rho.size()) {
+      throw std::runtime_error(
+          "GhostExchange: ghost chains hold fewer nodes than the sender's");
     }
   });
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -9,6 +10,20 @@
 #include "lattice/lattice_neighbor_list.h"
 
 namespace mmd::lat {
+
+/// One ghost entry as it travels in a halo message: the fields a ghost is
+/// read for — the owner's position (shifted into the receiver's frame),
+/// density, id and species. Velocity and force stay with the owner, so a
+/// record is half an AtomEntry.
+struct GhostRecord {
+  util::Vec3 r;
+  double rho = 0.0;
+  std::int64_t id = AtomEntry::kUnset;
+  Species type = Species::Fe;
+  std::int16_t pad16 = 0;
+  std::int32_t pad32 = 0;
+};
+static_assert(sizeof(GhostRecord) == 48);
 
 /// Three-phase (x, then y, then z) face-neighbor ghost exchange for the
 /// lattice neighbor list.
@@ -30,12 +45,21 @@ namespace mmd::lat {
 ///
 /// Positions are translated by +-L when a message crosses the periodic
 /// boundary, which keeps every rank's storage in a continuous local frame.
+///
+/// A forward payload is packed once: each send-slab entry is written as a
+/// GhostRecord straight into the message, which is handed to the peer by
+/// move, and the receiver writes the records straight into its halo. The
+/// three phases' receive slabs tile the halo, so exchange() overwrites
+/// every ghost entry's r, rho, id and type and never resets them first; a
+/// ghost's v and f are left as they were (nothing reads them). Ghost chain
+/// nodes are returned to the pool and rebuilt from the payload.
 class GhostExchange {
  public:
   GhostExchange(LatticeNeighborList& lnl, const DomainDecomposition& dd, int rank);
 
-  /// Refresh all ghost entries and chains; route `emigrants` (run-aways that
-  /// left the subdomain, from rehome_runaways) to their owners.
+  /// Refresh the r, rho, id and type of every ghost entry and rebuild the
+  /// ghost chains; route `emigrants` (run-aways that left the subdomain,
+  /// from rehome_runaways) to their owners.
   void exchange(comm::Comm& comm, std::vector<RunawayAtom> emigrants = {});
 
   /// A rho refresh whose first (x) phase is in flight: returned by
@@ -64,7 +88,9 @@ class GhostExchange {
   /// Refresh only the electron density (rho) of ghost entries and ghost
   /// run-away chains. Must be called after an `exchange()` with no chain
   /// mutations in between, so the ghost chain layout still mirrors the
-  /// sender's. Equivalent to begin + finish with no overlapped compute.
+  /// sender's; a receive slab whose chains hold fewer or more nodes than
+  /// the sender sent values for throws. Equivalent to begin + finish with
+  /// no overlapped compute.
   void exchange_rho(comm::Comm& comm);
 
   /// Reverse accumulation (the LAMMPS `reverse_comm` pattern, used by the
@@ -97,9 +123,9 @@ class GhostExchange {
   };
 
   /// Build one aggregated forward-exchange payload for (axis, side):
-  /// sections are [entries][chains][emigrants], all position-shifted.
-  void pack_side(int axis, int side, std::vector<RunawayAtom> migrants,
-                 comm::SectionWriter& w) const;
+  /// sections are [ghost records][chains][emigrants], all position-shifted.
+  std::vector<std::byte> pack_side(int axis, int side,
+                                   std::vector<RunawayAtom> migrants) const;
   /// Unpack a forward payload into the (axis, side) halo slab; returns the
   /// emigrants riding along (adopted later, in fixed side order).
   std::vector<RunawayAtom> unpack_side(int axis, int side,
@@ -121,9 +147,15 @@ class GhostExchange {
                        std::vector<RunawayAtom>& high) const;
   void adopt(std::vector<RunawayAtom>& settled);
 
+  /// False for a chain node adopt() added after the forward phases had sent
+  /// its host: the peers hold no image of it until the next exchange(), so
+  /// the rho refresh must not send a value for it.
+  bool has_ghost_images(std::int32_t ri) const;
+
   LatticeNeighborList* lnl_;
   int rank_;
   Side sides_[3][2];  ///< [axis][0 = low, 1 = high]
+  std::vector<std::int32_t> adopted_;  ///< nodes adopt() added in exchange()
   std::uint64_t bytes_sent_ = 0;
 };
 

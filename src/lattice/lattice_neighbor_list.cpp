@@ -110,15 +110,19 @@ void LatticeNeighborList::fill_perfect(Species s) {
 }
 
 void LatticeNeighborList::clear_ghosts() {
+  release_ghost_chains();
+  for (std::size_t i : ghosts_) entries_[i] = AtomEntry{};
+}
+
+void LatticeNeighborList::release_ghost_chains() {
   for (std::size_t i : ghosts_) {
-    // Drop the ghost chain nodes back into the pool, then reset the entry.
-    for (std::int32_t ri = entries_[i].runaway_head;
-         ri != AtomEntry::kNoRunaway;) {
+    std::int32_t& head = entries_[i].runaway_head;
+    for (std::int32_t ri = head; ri != AtomEntry::kNoRunaway;) {
       const std::int32_t next = runaways_[static_cast<std::size_t>(ri)].next;
       free_.push_back(ri);
       ri = next;
     }
-    entries_[i] = AtomEntry{};
+    head = AtomEntry::kNoRunaway;
   }
 }
 

@@ -79,6 +79,11 @@ class LatticeNeighborList {
   /// Mark all ghost entries unset and clear their run-away chains.
   void clear_ghosts();
 
+  /// Return every ghost chain node to the pool and empty the ghost chains,
+  /// leaving the ghost entries' own fields as they are (for an exchange
+  /// that overwrites each of them anyway).
+  void release_ghost_chains();
+
   /// Indices of all owned entries, in rank order (cached).
   const std::vector<std::size_t>& owned_indices() const { return owned_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace mmd::md {
 
@@ -34,36 +35,40 @@ bool ReferenceForce::simd_supported() { return detail::eam_avx2_available(); }
 
 void ReferenceForce::rho_terms(EamPairRecords& rec) const {
   const double r_min = tables_->r_min;
-  const std::size_t n = rec.r2.size();
-  rec.term.resize(n);
+  const std::span<const double> r2 = rec.r2();
+  const std::span<const std::int32_t> pair = rec.pair();
+  const std::span<double> term = rec.term();
+  const std::size_t n = rec.size();
   std::size_t k = 0;
   if (simd_) {
     k = n - n % 4;
-    detail::eam_rho_terms_avx2(views_.data(), rec.pair.data(), rec.r2.data(),
-                               k, r_min, rec.term.data());
+    detail::eam_rho_terms_avx2(views_.data(), pair.data(), r2.data(), k, r_min,
+                               term.data());
   }
   for (; k < n; ++k) {
-    const double r = std::max(std::sqrt(rec.r2[k]), r_min);
-    rec.term[k] = tables_->pairs[static_cast<std::size_t>(rec.pair[k])].f.value(r);
+    const double r = std::max(std::sqrt(r2[k]), r_min);
+    term[k] = tables_->pairs[static_cast<std::size_t>(pair[k])].f.value(r);
   }
 }
 
 void ReferenceForce::force_terms(EamPairRecords& rec, double fp0) const {
   const double r_min = tables_->r_min;
-  const std::size_t n = rec.r2.size();
-  rec.term.resize(n);
+  const std::span<const double> r2 = rec.r2();
+  const std::span<const std::int32_t> pair = rec.pair();
+  const std::span<const double> fprime = rec.fprime();
+  const std::span<double> term = rec.term();
+  const std::size_t n = rec.size();
   std::size_t k = 0;
   if (simd_) {
     k = n - n % 4;
-    detail::eam_force_terms_avx2(views_.data(), rec.pair.data(), rec.r2.data(),
-                                 rec.fprime.data(), fp0, k, r_min,
-                                 rec.term.data());
+    detail::eam_force_terms_avx2(views_.data(), pair.data(), r2.data(),
+                                 fprime.data(), fp0, k, r_min, term.data());
   }
   for (; k < n; ++k) {
-    const double r = std::max(std::sqrt(rec.r2[k]), r_min);
+    const double r = std::max(std::sqrt(r2[k]), r_min);
     double dphi, df;
-    tables_->pairs[static_cast<std::size_t>(rec.pair[k])].derivatives(r, &dphi, &df);
-    rec.term[k] = (dphi + (fp0 + rec.fprime[k]) * df) / r;
+    tables_->pairs[static_cast<std::size_t>(pair[k])].derivatives(r, &dphi, &df);
+    term[k] = (dphi + (fp0 + fprime[k]) * df) / r;
   }
 }
 
@@ -74,12 +79,11 @@ double ReferenceForce::rho_of(const util::Vec3& r0, int t0, Visit&& visit) {
   visit([&](const lat::ParticleView& p) {
     const double r2 = (p.r - r0).norm2();
     if (r2 > cut2) return;
-    rec_.r2.push_back(r2);
-    rec_.pair.push_back(static_cast<std::int32_t>(tables_->pair_index(t0, sp(p.type))));
+    rec_.add(r2, static_cast<std::int32_t>(tables_->pair_index(t0, sp(p.type))));
   });
   rho_terms(rec_);
   double rho = 0.0;
-  for (const double v : rec_.term) rho += v;
+  for (const double v : rec_.term()) rho += v;
   return rho;
 }
 
@@ -92,14 +96,14 @@ util::Vec3 ReferenceForce::force_on(const util::Vec3& r0, int t0, double fp0,
     const util::Vec3 d = p.r - r0;
     const double r2 = d.norm2();
     if (r2 > cut2 || r2 == 0.0) return;
-    rec_.d.push_back(d);
-    rec_.r2.push_back(r2);
-    rec_.fprime.push_back(fprime_[p.slot]);
-    rec_.pair.push_back(static_cast<std::int32_t>(tables_->pair_index(t0, sp(p.type))));
+    rec_.add(r2, static_cast<std::int32_t>(tables_->pair_index(t0, sp(p.type))),
+             d, fprime_[p.slot]);
   });
   force_terms(rec_, fp0);
+  const std::span<const util::Vec3> d = rec_.d();
+  const std::span<const double> term = std::as_const(rec_).term();
   util::Vec3 force;
-  for (std::size_t k = 0; k < rec_.d.size(); ++k) force += rec_.d[k] * rec_.term[k];
+  for (std::size_t k = 0; k < d.size(); ++k) force += d[k] * term[k];
   return force;
 }
 

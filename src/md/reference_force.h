@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -11,21 +12,64 @@
 namespace mmd::md {
 
 /// Visit-ordered neighbour records of one central particle: what the
-/// collect step of an EAM pass appends and its evaluate step reads. The rho
-/// pass fills r2 and pair; the force pass also fills d and fprime.
-struct EamPairRecords {
-  std::vector<double> r2;
-  std::vector<std::int32_t> pair;  ///< pot::EamTableSet pair index
-  std::vector<util::Vec3> d;       ///< r_j - r_i (force pass)
-  std::vector<double> fprime;      ///< F'(rho_j) (force pass)
-  std::vector<double> term;        ///< evaluate output, one per record
+/// collect step of an EAM pass writes and its evaluate step reads. Each
+/// field is a plane indexed by record. The planes keep their capacity
+/// across particles and steps, so collect writes record k by index (no
+/// per-neighbour push_back, no per-particle resize) and they grow only when
+/// a neighbourhood outnumbers every earlier one. The rho pass fills r2 and
+/// pair; the force pass also fills d and fprime.
+class EamPairRecords {
+ public:
+  /// Starting capacity of every plane: the 58 BCC stencil sites of the
+  /// lattice neighbour list plus room for a few run-aways.
+  static constexpr std::size_t kInitialCapacity = 64;
 
-  void clear() {
-    r2.clear();
-    pair.clear();
-    d.clear();
-    fprime.clear();
+  EamPairRecords() { resize_planes(kInitialCapacity); }
+
+  std::size_t size() const { return n_; }
+  void clear() { n_ = 0; }
+
+  /// Write the next rho-pass record.
+  void add(double r2, std::int32_t pair) {
+    if (n_ == r2_.size()) resize_planes(2 * n_);
+    r2_[n_] = r2;
+    pair_[n_] = pair;
+    ++n_;
   }
+
+  /// Write the next force-pass record.
+  void add(double r2, std::int32_t pair, const util::Vec3& d, double fprime) {
+    if (n_ == r2_.size()) resize_planes(2 * n_);
+    r2_[n_] = r2;
+    pair_[n_] = pair;
+    d_[n_] = d;
+    fprime_[n_] = fprime;
+    ++n_;
+  }
+
+  std::span<const double> r2() const { return {r2_.data(), n_}; }
+  std::span<const std::int32_t> pair() const { return {pair_.data(), n_}; }
+  std::span<const util::Vec3> d() const { return {d_.data(), n_}; }
+  std::span<const double> fprime() const { return {fprime_.data(), n_}; }
+  /// Evaluate output, one term per record.
+  std::span<double> term() { return {term_.data(), n_}; }
+  std::span<const double> term() const { return {term_.data(), n_}; }
+
+ private:
+  void resize_planes(std::size_t cap) {
+    r2_.resize(cap);
+    pair_.resize(cap);
+    d_.resize(cap);
+    fprime_.resize(cap);
+    term_.resize(cap);
+  }
+
+  std::size_t n_ = 0;
+  std::vector<double> r2_;
+  std::vector<std::int32_t> pair_;  ///< pot::EamTableSet pair index
+  std::vector<util::Vec3> d_;       ///< r_j - r_i (force pass)
+  std::vector<double> fprime_;      ///< F'(rho_j) (force pass)
+  std::vector<double> term_;
 };
 
 /// Master-core (reference) EAM evaluation over the lattice neighbor list.
@@ -40,14 +84,15 @@ struct EamPairRecords {
 /// entries are read-only.
 ///
 /// Each pass runs collect -> evaluate -> sum per central particle. Collect
-/// appends the in-cutoff neighbours' records (EamPairRecords) in visit
-/// order; evaluate computes their pair terms; sum adds the terms in visit
-/// order, so rho and F do not depend on how the terms were evaluated. On a
-/// CPU with AVX2, evaluate runs four records at a time through the vector
-/// unit (reference_force_simd.cpp), which repeats the scalar order of
-/// operations without fusing a*b+c, and the 1-3 record tail through the
-/// scalar expressions; other CPUs run the scalar evaluator over the same
-/// records. The bits equal the scalar evaluator's in every build that does
+/// writes the in-cutoff neighbours' records by index, in visit order, into
+/// this rank's record planes (EamPairRecords), which keep their capacity
+/// from particle to particle and step to step; evaluate computes their pair
+/// terms; sum adds the terms in visit order, so rho and F do not depend on
+/// how the terms were evaluated. On a CPU with AVX2, evaluate runs four
+/// records at a time through the vector unit (reference_force_simd.cpp),
+/// which repeats the scalar order of operations without fusing a*b+c, and
+/// the 1-3 record tail through the scalar expressions; other CPUs run the
+/// scalar evaluator over the same records. The bits equal the scalar evaluator's in every build that does
 /// not contract a*b+c into FMA (a whole-tree -march=x86-64-v3 build fuses
 /// the scalar expressions but not the vector unit). Fe-Cu neighbourhoods
 /// take the same path, each lane reading its own pair's tables.
@@ -123,7 +168,7 @@ class ReferenceForce {
   const pot::EamTableSet* tables_;
   std::vector<detail::EamPairView> views_;  ///< raw tables, per pair index
   std::vector<double> fprime_;  ///< F'(rho) per particle slot
-  EamPairRecords rec_;          ///< scratch of the particle being evaluated
+  EamPairRecords rec_;          ///< record planes, reused for every particle
   bool simd_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/world.h"
@@ -48,7 +49,9 @@ TEST_P(GhostExchangeRanks, PerfectCrystalGhostsFilled) {
   world.run([&](comm::Comm& comm) {
     LatticeNeighborList lnl(fx.geo, fx.dd.local_box(comm.rank()), kCut);
     lnl.fill_perfect(Species::Fe);
-    // Scramble ghosts so the test actually checks the exchange.
+    // fill_perfect already fills every ghost, and the exchange overwrites
+    // ghosts without resetting them: unset them first, so a ghost that no
+    // receive slab covers shows up.
     lnl.clear_ghosts();
     GhostExchange ghosts(lnl, fx.dd, comm.rank());
     ghosts.exchange(comm);
@@ -171,8 +174,112 @@ TEST_P(GhostExchangeRanks, EmigrantRoutedToOwner) {
   });
 }
 
+TEST_P(GhostExchangeRanks, ForwardExchangeShipsGhostRecords) {
+  // The wire contract of a forward exchange: each send-slab entry travels as
+  // a 48-byte ghost record (r, rho, id, species), so on a perfect crystal
+  // (no chains, no emigrants) one exchange sends exactly
+  // entries x 48 + 6 messages x 3 section headers. A send slab mirrors one
+  // of this rank's receive slabs, so its entries sum to the ghost count.
+  const int nranks = GetParam();
+  Fixture fx(8, nranks);
+  comm::World world(nranks);
+  world.run([&](comm::Comm& comm) {
+    LatticeNeighborList lnl(fx.geo, fx.dd.local_box(comm.rank()), kCut);
+    lnl.fill_perfect(Species::Fe);
+    for (std::size_t idx : lnl.owned_indices()) {
+      AtomEntry& e = lnl.entry(idx);
+      const double s = 0.01 * static_cast<double>(e.id % 5);
+      e.r += util::Vec3{-s, 0.5 * s, s};
+      e.rho = 3.0 + static_cast<double>(e.id);
+      if (e.id % 3 == 0) e.type = Species::Cu;
+    }
+    lnl.clear_ghosts();
+    GhostExchange ghosts(lnl, fx.dd, comm.rank());
+    ghosts.exchange(comm);
+    constexpr std::uint64_t kRecord = 48, kHeaders = 6 * 3 * sizeof(std::uint64_t);
+    EXPECT_EQ(ghosts.bytes_sent(), lnl.ghost_indices().size() * kRecord + kHeaders);
+    for (std::size_t i : lnl.ghost_indices()) {
+      const AtomEntry& e = lnl.entry(i);
+      ASSERT_EQ(e.id, lnl.site_rank(i));
+      const double s = 0.01 * static_cast<double>(e.id % 5);
+      ASSERT_NEAR((e.r - (lnl.ideal_position(i) + util::Vec3{-s, 0.5 * s, s})).norm(),
+                  0.0, 1e-12);
+      ASSERT_EQ(e.rho, 3.0 + static_cast<double>(e.id));
+      ASSERT_EQ(e.type, e.id % 3 == 0 ? Species::Cu : Species::Fe);
+    }
+  });
+}
+
+TEST_P(GhostExchangeRanks, RhoRefreshAfterAdoptionMatchesOwners) {
+  // An emigrant adopted at the end of exchange() joins an owned chain the
+  // forward phases have already sent, so no peer holds an image of it. The
+  // rho refresh must skip it: every ghost chain node then carries its own
+  // owner's rho, and the chain-count checks stay quiet.
+  const int nranks = GetParam();
+  Fixture fx(8, nranks);
+  comm::World world(nranks);
+  world.run([&](comm::Comm& comm) {
+    LatticeNeighborList lnl(fx.geo, fx.dd.local_box(comm.rank()), kCut);
+    lnl.fill_perfect(Species::Fe);
+    GhostExchange ghosts(lnl, fx.dd, comm.rank());
+    std::vector<RunawayAtom> emigrants;
+    // A run-away that stays home, beside the high-x face (1 A from its
+    // site: past the re-occupation threshold), after the emigrant's new
+    // host in slab order, so a value sent for the emigrant would land on
+    // this run-away's image.
+    const std::size_t stay = lnl.box().entry_index({lnl.box().lx - 1, 3, 3, 0});
+    lnl.entry(stay).r += util::Vec3{1.0, 0.0, 0.0};
+    lnl.detach(stay);
+    // One that crosses the low-x face (to a peer, or around the box).
+    const std::size_t idx = lnl.box().entry_index({0, 2, 2, 0});
+    lnl.entry(idx).r += util::Vec3{-0.8 * kA, 0.0, 0.0};
+    lnl.detach(idx, &emigrants);
+    lnl.rehome_runaways(&emigrants);
+    ghosts.exchange(comm, std::move(emigrants));
+    lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
+      lnl.runaway(ri).rho = 1000.0 + static_cast<double>(lnl.runaway(ri).id);
+    });
+    ghosts.exchange_rho(comm);
+    std::size_t ghost_nodes = 0;
+    for (std::size_t i : lnl.ghost_indices()) {
+      for (std::int32_t ri = lnl.entry(i).runaway_head;
+           ri != AtomEntry::kNoRunaway; ri = lnl.runaway(ri).next) {
+        ASSERT_EQ(lnl.runaway(ri).rho, 1000.0 + static_cast<double>(lnl.runaway(ri).id));
+        ++ghost_nodes;
+      }
+    }
+    EXPECT_GT(comm.allreduce_sum_u64(ghost_nodes), 0u);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, GhostExchangeRanks,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(GhostExchange, RhoRefreshRejectsAChainThatLostANode) {
+  // exchange_rho matches chain values to ghost chain nodes by position. In
+  // a 1-rank world every halo message is a self-send; drop one ghost chain
+  // node after exchange() and the refresh must throw instead of handing
+  // every later node in that slab its predecessor's rho.
+  Fixture fx(8, 1);
+  comm::World world(1);
+  world.run([&](comm::Comm& comm) {
+    LatticeNeighborList lnl(fx.geo, fx.dd.local_box(0), kCut);
+    lnl.fill_perfect(Species::Fe);
+    const std::size_t idx = lnl.box().entry_index({0, 0, 0, 0});
+    lnl.entry(idx).r += util::Vec3{0.3, 0.3, 0.3};
+    lnl.detach(idx);
+    GhostExchange ghosts(lnl, fx.dd, 0);
+    ghosts.exchange(comm);
+    ghosts.exchange_rho(comm);  // consistent layout: no throw
+    for (std::size_t i : lnl.ghost_indices()) {
+      const std::int32_t head = lnl.entry(i).runaway_head;
+      if (head == AtomEntry::kNoRunaway) continue;
+      lnl.remove_runaway(head, i);
+      break;
+    }
+    EXPECT_THROW(ghosts.exchange_rho(comm), std::runtime_error);
+  });
+}
 
 class ReverseAccumulate : public ::testing::TestWithParam<int> {};
 

@@ -403,20 +403,20 @@ TEST(ReferenceForceEvaluator, VectorTermsMatchScalarExpressions) {
                         whole - 3, whole - 2, whole - 1}) {
     EamPairRecords rec;
     for (std::size_t k = 0; k < n; ++k) {
-      rec.r2.push_back(rs[k] * rs[k]);
-      rec.pair.push_back(static_cast<std::int32_t>(k % tables.pairs.size()));
-      rec.fprime.push_back(-0.2 - 0.01 * static_cast<double>(k % 7));
+      rec.add(rs[k] * rs[k], static_cast<std::int32_t>(k % tables.pairs.size()),
+              util::Vec3{}, -0.2 - 0.01 * static_cast<double>(k % 7));
     }
+    ASSERT_EQ(rec.size(), n);
     force.rho_terms(rec);
-    const std::vector<double> rho_terms = rec.term;
+    const std::vector<double> rho_terms(rec.term().begin(), rec.term().end());
     force.force_terms(rec, fp0);
     for (std::size_t k = 0; k < n; ++k) {
-      const auto& p = tables.pairs[static_cast<std::size_t>(rec.pair[k])];
-      const double r = std::max(std::sqrt(rec.r2[k]), tables.r_min);
+      const auto& p = tables.pairs[static_cast<std::size_t>(rec.pair()[k])];
+      const double r = std::max(std::sqrt(rec.r2()[k]), tables.r_min);
       double dphi, df;
       p.derivatives(r, &dphi, &df);
-      const double scale = (dphi + (fp0 + rec.fprime[k]) * df) / r;
-      if (differs(rho_terms[k], p.f.value(r)) || differs(rec.term[k], scale)) {
+      const double scale = (dphi + (fp0 + rec.fprime()[k]) * df) / r;
+      if (differs(rho_terms[k], p.f.value(r)) || differs(rec.term()[k], scale)) {
         ++mismatches;
       }
       ++checked;
@@ -424,6 +424,66 @@ TEST(ReferenceForceEvaluator, VectorTermsMatchScalarExpressions) {
   }
   EXPECT_GT(checked, 2u * 300u);
   EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ReferenceForceEvaluator, CrowdedNeighbourhoodGrowsRecordPlanes) {
+  // A dozen run-aways chained to one host give the host and each of them
+  // more in-cutoff neighbours than the record planes start with, so the
+  // collect step grows its planes mid-particle. rho and F of every owned
+  // particle must still equal the frozen per-pair sums, on the vector and
+  // on the scalar evaluator.
+  Crystal x;
+  comm::World world(1);
+  world.run([&](comm::Comm& comm) {
+    lat::LatticeNeighborList lnl(x.setup.geo, x.setup.dd.local_box(0),
+                                 x.cfg.cutoff + kNeighborSkin);
+    lnl.fill_perfect(lat::Species::Fe);
+    const std::size_t host = lnl.box().entry_index({3, 3, 3, 0});
+    const util::Vec3 site = lnl.ideal_position(host);
+    constexpr int kRunaways = 12;
+    for (int k = 0; k < kRunaways; ++k) {
+      const double angle = 0.5235987755982988 * k;  // 30 degree steps
+      lat::RunawayAtom a;
+      a.r = site + util::Vec3{0.9 * std::cos(angle), 0.9 * std::sin(angle),
+                              0.1 * (k - 5.5)};
+      a.id = x.setup.geo.num_sites() + k;
+      lnl.add_runaway(a, host);
+    }
+    std::size_t crowd = 0;
+    lnl.for_each_neighbor_of_entry(host, [&](const lat::ParticleView& p) {
+      if ((p.r - site).norm2() <= x.tables.cutoff * x.tables.cutoff) ++crowd;
+    });
+    ASSERT_GT(crowd, EamPairRecords::kInitialCapacity);
+
+    lat::GhostExchange ghosts(lnl, x.setup.dd, 0);
+    ghosts.exchange(comm);
+    ReferenceForce vector_unit(x.tables);
+    ReferenceForce scalar(x.tables);
+    scalar.set_simd(false);
+    for (ReferenceForce* force : {&vector_unit, &scalar}) {
+      force->compute_rho(lnl);
+      ghosts.exchange_rho(comm);
+      force->compute_forces(lnl);
+      Mismatches m;
+      std::size_t runaways = 0;
+      for (std::size_t idx : lnl.owned_indices()) {
+        const lat::AtomEntry& e = lnl.entry(idx);
+        auto visit = [&](auto&& v) { lnl.for_each_neighbor_of_entry(idx, v); };
+        tally(m, e, per_pair_rho(x.tables, e.r, 0, visit),
+              per_pair_force(x.tables, e.r, 0, e.rho, visit));
+      }
+      lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t h) {
+        const lat::RunawayAtom& a = lnl.runaway(ri);
+        auto visit = [&](auto&& v) { lnl.for_each_neighbor_of_runaway(ri, h, v); };
+        tally(m, a, per_pair_rho(x.tables, a.r, 0, visit),
+              per_pair_force(x.tables, a.r, 0, a.rho, visit));
+        ++runaways;
+      });
+      EXPECT_EQ(runaways, static_cast<std::size_t>(kRunaways));
+      EXPECT_EQ(m.rho, 0u) << "simd " << force->simd();
+      EXPECT_EQ(m.force, 0u) << "simd " << force->simd();
+    }
+  });
 }
 
 TEST(ReferenceForce, PotentialEnergyDeterministicAcrossRuns) {
