@@ -74,6 +74,9 @@ World::World(int nranks)
 World::~World() = default;
 
 void World::run(const std::function<void(Comm&)>& fn) {
+  if (aborted_.load(std::memory_order_acquire)) {
+    throw std::logic_error("comm::World::run: a previous run aborted");
+  }
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(size_));
   threads.reserve(static_cast<std::size_t>(size_));
@@ -93,8 +96,11 @@ void World::run(const std::function<void(Comm&)>& fn) {
       comm.rec_ = recorder;
       try {
         fn(comm);
+      } catch (const WorldAborted&) {
+        // Woken by another rank's failure; that rank's error is rethrown.
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
+        abort_run();
       }
       if (session != nullptr) {
         fold_traffic(*session, r, before, traffic_[static_cast<std::size_t>(r)]);
@@ -121,6 +127,20 @@ RankTraffic World::total_traffic() const {
 
 void World::reset_traffic() {
   for (auto& t : traffic_) t = RankTraffic{};
+}
+
+void World::abort_run() {
+  aborted_.store(true, std::memory_order_seq_cst);
+  // The bump frees every rank spinning or parked in a collective; one that
+  // reads the generation later sees the flag first (rendezvous).
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  generation_.notify_all();
+  // Taking each lock orders the flag before any mailbox waiter's next check,
+  // so none can miss it between its check and its wait.
+  for (auto& box : mailboxes_) {
+    { std::lock_guard lk(box->m); }
+    box->cv.notify_all();
+  }
 }
 
 void World::deliver(int dst, Message msg) {
@@ -155,6 +175,7 @@ Message World::receive(int me, int src, int tag) {
       box.q.erase(it);
       return out;
     }
+    throw_if_aborted();
     box.cv.wait(lk);
   }
 }
@@ -166,6 +187,7 @@ ProbeInfo World::probe_blocking(int me, int src, int tag) {
     auto it = std::find_if(box.q.begin(), box.q.end(),
                            [&](const Message& m) { return matches(m, src, tag); });
     if (it != box.q.end()) return {it->src, it->tag, it->payload.size()};
+    throw_if_aborted();
     box.cv.wait(lk);
   }
 }
@@ -204,7 +226,10 @@ Message World::request_wait(int me, Request& r) {
   RequestState& rs = *r.state_;
   {
     std::unique_lock lk(box.m);
-    box.cv.wait(lk, [&] { return rs.done; });
+    box.cv.wait(lk, [&] {
+      return rs.done || aborted_.load(std::memory_order_acquire);
+    });
+    if (!rs.done) throw WorldAborted();
     rs.consumed = true;
   }
   // Safe without the lock: once done && consumed, no other thread touches rs.
@@ -230,6 +255,7 @@ std::size_t World::request_wait_any(int me, std::span<Request> rs) {
         return i;
       }
     }
+    throw_if_aborted();
     box.cv.wait(lk);
   }
 }
@@ -250,9 +276,15 @@ Message Request::take_message() {
 // writes its slot for the next collective after it has seen the bump, so no
 // slot is overwritten while it is being reduced, and `result_` cannot be
 // republished before every rank has read it.
+//
+// Abort is the one other writer of the generation: it sets the flag, then
+// bumps. A rank whose `gen` already includes that bump sees the flag at the
+// first check; any other rank sees the bump in its wait and the flag after.
+// A failed rank never arrives, so no last arrival races the abort's bump.
 template <typename Last>
 void World::rendezvous(int me, Last last) {
   const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+  throw_if_aborted();
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) == size_ - 1) {
     last();
     arrived_.store(0, std::memory_order_relaxed);
@@ -262,6 +294,7 @@ void World::rendezvous(int me, Last last) {
     generation_.notify_all();
   } else {
     await_generation(me, gen);
+    throw_if_aborted();
   }
 }
 

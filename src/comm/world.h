@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -93,10 +94,15 @@ class Request {
 
 /// One-sided communication window (models an MPI-3 RMA epoch with
 /// MPI_Put + MPI_Win_fence). Each rank owns an append inbox; remote ranks
-/// deposit byte records into it without any matching receive. After a
-/// `fence()` the owner drains its inbox. This is exactly the primitive the
-/// paper proposes for on-demand KMC communication without zero-size
-/// handshake messages.
+/// deposit byte records into it without any matching receive. After a fence
+/// the owner drains its inbox. This is exactly the primitive the paper
+/// proposes for on-demand KMC communication without zero-size handshake
+/// messages; `FencedWindow` below runs its epochs.
+///
+/// Appends lock the target inbox (several ranks put into one inbox at
+/// once). A drain of an inbox nothing was appended to since the last drain
+/// returns without taking the lock: after the fence no append to it can be
+/// in flight, so the flag read is the whole cost of an empty epoch.
 class PutWindow {
  public:
   explicit PutWindow(int nranks) : inboxes_(nranks) {}
@@ -105,11 +111,14 @@ class PutWindow {
     auto& box = inboxes_[static_cast<std::size_t>(target)];
     std::lock_guard lk(box.m);
     box.data.insert(box.data.end(), data.begin(), data.end());
+    box.filled.store(true, std::memory_order_relaxed);
   }
 
   std::vector<std::byte> drain(int rank) {
     auto& box = inboxes_[static_cast<std::size_t>(rank)];
+    if (!box.filled.load(std::memory_order_relaxed)) return {};
     std::lock_guard lk(box.m);
+    box.filled.store(false, std::memory_order_relaxed);
     return std::exchange(box.data, {});
   }
 
@@ -117,8 +126,17 @@ class PutWindow {
   struct Inbox {
     std::mutex m;
     std::vector<std::byte> data;
+    std::atomic<bool> filled{false};  ///< appended to since the last drain
   };
   std::vector<Inbox> inboxes_;
+};
+
+/// What a blocked wait or collective throws once another rank's function
+/// has thrown: the failed rank will never arrive, so nobody waits for it.
+/// `World::run` rethrows the failed rank's own exception, not this one.
+class WorldAborted : public std::runtime_error {
+ public:
+  WorldAborted() : std::runtime_error("comm::World: another rank failed") {}
 };
 
 /// An N-rank message-passing world executed as N threads inside one process.
@@ -137,8 +155,11 @@ class World {
 
   int size() const { return size_; }
 
-  /// Spawn one thread per rank, run `fn(comm)` on each, join all. Any
-  /// exception thrown by a rank is rethrown on the caller after join.
+  /// Spawn one thread per rank, run `fn(comm)` on each, join all. When a
+  /// rank throws, the world aborts: every rank blocked in (or later entering)
+  /// a collective, recv, probe or wait throws `WorldAborted`, and after the
+  /// join the lowest failed rank's own exception is rethrown on the caller.
+  /// An aborted world cannot run again (std::logic_error).
   void run(const std::function<void(Comm&)>& fn);
 
   /// Aggregate traffic over all ranks since construction or reset.
@@ -186,6 +207,13 @@ class World {
   void rendezvous(int me, Last last);
   void await_generation(int me, std::uint32_t gen);
 
+  /// Mark the world aborted and wake every waiter: the generation bump frees
+  /// the collective waiters, a notify under each mailbox lock the others.
+  void abort_run();
+  void throw_if_aborted() const {
+    if (aborted_.load(std::memory_order_acquire)) throw WorldAborted();
+  }
+
   static constexpr std::size_t kCacheLine = 64;
   struct alignas(kCacheLine) Slot {
     std::uint64_t bits = 0;
@@ -196,6 +224,7 @@ class World {
   std::vector<Slot> slots_;
   alignas(kCacheLine) std::atomic<int> arrived_{0};
   alignas(kCacheLine) std::atomic<std::uint32_t> generation_{0};
+  std::atomic<bool> aborted_{false};
   std::uint64_t result_ = 0;  ///< written by the last arrival before the bump
   std::shared_ptr<PutWindow> window_;
   std::vector<RankTraffic> traffic_;
@@ -354,6 +383,45 @@ class Comm {
   /// The current session's comm flight recorder, set by World::run; nullptr
   /// (every instrumentation point a cheap branch) when recording is off.
   telemetry::CommRecorder* rec_ = nullptr;
+};
+
+/// One-sided epochs closed by one fence each: `put` … `fence` … `drain`.
+///
+/// Consecutive epochs put into two windows alternately (by epoch parity), so
+/// the fence is a single barrier: a window is put into again only after the
+/// next epoch's fence, which no rank reaches before it has drained that
+/// window. (With one window, a fast rank's next-epoch records could land in
+/// an inbox a slow rank has not drained yet, so the drain would need a
+/// second barrier behind it.) Each rank owns one object; every rank must
+/// run the same epochs.
+class FencedWindow {
+ public:
+  /// Collective: creates both windows.
+  explicit FencedWindow(Comm& comm)
+      : windows_{comm.create_window(), comm.create_window()} {}
+
+  /// One-sided put of typed records into `target`'s inbox for this epoch.
+  template <typename T>
+  void put(Comm& comm, int target, std::span<const T> items) {
+    comm.put(*windows_[epoch_ & 1], target, items);
+  }
+
+  /// Collective: close the epoch. Every rank's puts of the epoch have landed
+  /// when this returns.
+  void fence(Comm& comm) {
+    comm.barrier();
+    ++epoch_;
+  }
+
+  /// This rank's records of the epoch the last fence closed.
+  template <typename T>
+  std::vector<T> drain(Comm& comm) {
+    return comm.drain<T>(*windows_[(epoch_ - 1) & 1]);
+  }
+
+ private:
+  std::shared_ptr<PutWindow> windows_[2];
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace mmd::comm

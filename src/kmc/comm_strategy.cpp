@@ -261,7 +261,7 @@ GhostComm::GhostComm(const lat::BccGeometry& geo,
 void GhostComm::initialize(comm::Comm& comm, KmcModel& model) {
   traffic_ += full_plan_->get(comm, model, comm::tags::sector(kTagGet, 8));
   if (strategy_ == GhostStrategy::OnDemandOneSided) {
-    window_ = comm.create_window();
+    window_.emplace(comm);
   }
   comm.barrier();
 }
@@ -336,17 +336,17 @@ void GhostComm::push_updates_one_sided(comm::Comm& comm, KmcModel& model,
       if (peer_has_image(qi, u.gid)) out.push_back(u);
     }
     if (!out.empty()) {
-      comm.put(*window_, neighbors_[qi], std::span<const SiteUpdate>(out));
+      window_->put(comm, neighbors_[qi], std::span<const SiteUpdate>(out));
       traffic_.bytes_sent += out.size() * sizeof(SiteUpdate);
       ++traffic_.messages_sent;
     }
   }
-  // Fence: a global synchronization completes the epoch (paper §2.2.1).
-  comm.barrier();
-  for (const SiteUpdate& u : comm.drain<SiteUpdate>(*window_)) {
+  // One fence completes the epoch (paper §2.2.1). The next sector's puts go
+  // to the other window, so a rank may start it while peers still drain.
+  window_->fence(comm);
+  for (const SiteUpdate& u : window_->drain<SiteUpdate>(comm)) {
     model.set_state_global(u.gid, static_cast<SiteState>(u.state));
   }
-  comm.barrier();
 }
 
 }  // namespace mmd::kmc

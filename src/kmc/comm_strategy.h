@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,6 +79,9 @@ class SectorExchangePlan {
 };
 
 /// Dispatcher bundling the per-sector plans and the on-demand machinery.
+/// The one-sided strategy puts each sector's updates into a
+/// `comm::FencedWindow`: one barrier per sector, and the drained records
+/// are applied while faster ranks may already run the next sector.
 class GhostComm {
  public:
   GhostComm(const lat::BccGeometry& geo, const lat::DomainDecomposition& dd,
@@ -86,7 +90,7 @@ class GhostComm {
   GhostStrategy strategy() const { return strategy_; }
 
   /// Collective: must be called once by every rank before the first cycle
-  /// (creates the one-sided window; refreshes the full halo).
+  /// (creates the one-sided windows; refreshes the full halo).
   void initialize(comm::Comm& comm, KmcModel& model);
 
   /// Called before processing `sector` (traditional GET; no-op on-demand).
@@ -119,7 +123,7 @@ class GhostComm {
   std::unique_ptr<SectorExchangePlan> full_plan_;
   std::vector<int> neighbors_;           ///< unique adjacent ranks
   std::vector<lat::LocalBox> neighbor_boxes_;
-  std::shared_ptr<comm::PutWindow> window_;
+  std::optional<comm::FencedWindow> window_;  ///< one-sided strategy only
   GhostTraffic traffic_;
 };
 

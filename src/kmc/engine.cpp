@@ -26,6 +26,16 @@ KmcEngine::KmcEngine(const KmcConfig& cfg, const lat::BccGeometry& geo,
   rate_cache_.assign(n_owned * EventTable::kSlotsPerSite, 0.0);
   cache_valid_.assign(n_owned, 0);
   dirty_mark_.assign(n_owned, 0);
+  // Sector bits: the upper half of the box along x (1), y (2) and z (4).
+  const lat::LocalBox& b = model_.box();
+  sector_of_ord_.reserve(n_owned);
+  for (const std::size_t idx : model_.owned_indices()) {
+    const lat::LocalCoord c = b.coord_of(idx);
+    const int s = (c.z >= b.lz / 2 ? 4 : 0) | (c.y >= b.ly / 2 ? 2 : 0) |
+                  (c.x >= b.lx / 2 ? 1 : 0);
+    sector_of_ord_.push_back(static_cast<std::uint8_t>(s));
+    sector_sites_[s].push_back(idx);
+  }
 }
 
 void KmcEngine::finish_initialize(comm::Comm& comm) {
@@ -80,14 +90,6 @@ void KmcEngine::restore_state(comm::Comm& comm, const KmcEngineState& s) {
   last_max_rate_ = s.last_max_rate;
   base_rng_.set_state(s.rng_state);
   finish_initialize(comm);
-}
-
-int KmcEngine::sector_of(const lat::LocalCoord& c) const {
-  const lat::LocalBox& b = model_.box();
-  const int hx = c.x >= b.lx / 2 ? 1 : 0;
-  const int hy = c.y >= b.ly / 2 ? 1 : 0;
-  const int hz = c.z >= b.lz / 2 ? 1 : 0;
-  return (hz << 2) | (hy << 1) | hx;
 }
 
 void KmcEngine::enumerate_candidates(std::size_t vac) {
@@ -148,7 +150,7 @@ void KmcEngine::drain_flips(int sector) {
       const std::size_t idx = b.entry_index(n);
       const std::uint32_t ord = model_.owned_ordinal(idx);
       cache_valid_[ord] = 0;
-      if (dirty_mark_[ord] != 0 || sector_of(n) != sector) continue;
+      if (dirty_mark_[ord] != 0 || sector_of_ord_[ord] != sector) continue;
       // Refresh an in-sector vacancy (rates or partners changed) or a block
       // holding stale slots (its site stopped being a vacancy).
       if (model_.state(idx) != SiteState::Vacancy && !table_.site_touched(ord)) continue;
@@ -169,10 +171,8 @@ void KmcEngine::build_sector_table(int sector, double* max_rate) {
   table_.clear();
   batch_.clear();
   slots_.clear();
-  const lat::LocalBox& b = model_.box();
-  for (std::size_t idx : model_.owned_indices()) {
+  for (const std::size_t idx : sector_sites_[sector]) {
     if (model_.state(idx) != SiteState::Vacancy) continue;
-    if (sector_of(b.coord_of(idx)) != sector) continue;
     const std::uint32_t ord = model_.owned_ordinal(idx);
     if (!cfg_.incremental || cache_valid_[ord] == 0) {
       enumerate_candidates(idx);

@@ -112,9 +112,6 @@ class KmcEngine {
   }
 
  private:
-  /// Sector membership of an owned local coordinate.
-  int sector_of(const lat::LocalCoord& c) const;
-
   /// Append the candidate events of the owned vacancy at `vac` (its occupied
   /// 1NNs) to batch_/slots_, in canonical nn-offset order, and zero its
   /// rate-cache block (apply_batch fills it), marking the block valid.
@@ -131,7 +128,8 @@ class KmcEngine {
   /// block gone stale) are collected into dirty_sites_.
   void drain_flips(int sector);
 
-  /// Fill the sector's table: clear it, then enter every in-sector vacancy.
+  /// Fill the sector's table: clear it, then enter every in-sector vacancy
+  /// (scanning only the sector's own sites).
   /// The incremental path first drains the journal (flips since the last
   /// drain: ghost exchange, external writes), then copies each valid cached
   /// block and re-rates the rest. The kmc.incremental=off oracle discards
@@ -180,6 +178,8 @@ class KmcEngine {
   std::vector<double> de_scratch_;        ///< master-core path dE output
   std::vector<std::size_t> dirty_sites_;  ///< owned entries to refresh
   std::vector<std::uint8_t> dirty_mark_;  ///< per-ordinal dedup flags
+  std::vector<std::uint8_t> sector_of_ord_;   ///< per-ordinal sector
+  std::vector<std::size_t> sector_sites_[8];  ///< owned entries, owned order
   std::vector<std::pair<std::int64_t, std::int64_t>> event_log_;
   // Per-run telemetry accumulators, flushed once per sector.
   std::uint64_t rates_recomputed_ = 0;

@@ -15,7 +15,8 @@ enum class GhostStrategy {
   /// message even when empty (the zero-size handshake the paper criticizes).
   OnDemandTwoSided,
   /// The same strategy via one-sided puts into a window: no empty messages;
-  /// a fence (barrier) completes the epoch.
+  /// one fence (a single barrier) completes each sector's epoch, because
+  /// consecutive sectors put into two windows alternately.
   OnDemandOneSided,
 };
 

@@ -205,31 +205,45 @@ double KmcModel::pair_energy_at(std::size_t idx, std::size_t exclude,
   return e;
 }
 
+KmcModel::CentreSums KmcModel::centre_sums(std::size_t idx, int t,
+                                            std::size_t partner) const {
+  check_stencil(idx);
+  const int sub = static_cast<int>(idx & 1);
+  const auto& deltas = deltas_[sub];
+  const std::size_t n_off = deltas.size();
+  const double* f_row = f_cache_[sub].data();
+  const double* phi_row = phi_cache_[sub].data();
+  CentreSums out;
+  for (std::size_t k = 0; k < n_off; ++k) {
+    const std::size_t ni = idx + static_cast<std::size_t>(deltas[k]);
+    const SiteState s = sites_[ni];
+    if (!is_atom(s)) continue;
+    const std::size_t at = pair_of(t, static_cast<int>(s)) * n_off + k;
+    out.rho += f_row[at];
+    if (ni == partner) {
+      out.partner_rho = f_row[at];
+      continue;
+    }
+    out.pair += phi_row[at];
+  }
+  return out;
+}
+
 double KmcModel::exchange_dE(std::size_t vac_idx, std::size_t atom_idx) const {
   // Local energy of the hopping atom before (at atom_idx) and after (at
   // vac_idx, with atom_idx now empty): embedding + pair terms. On-lattice
-  // positions make all distances ideal-lattice distances.
-  const SiteState atom = sites_[atom_idx];
-  const int t = static_cast<int>(atom);
+  // positions make all distances ideal-lattice distances. One stencil walk
+  // per centre adds ρ and the pair sum side by side, each in the order of
+  // rho_at / pair_energy_at, so both are those functions' bits.
+  const int t = static_cast<int>(sites_[atom_idx]);
   const auto& embed = tables_->embed_of(t);
-  const double e_before =
-      embed.value(rho_at(atom_idx, t)) +
-      pair_energy_at(atom_idx, static_cast<std::size_t>(-1), t);
-  // After the swap the atom sits at vac_idx with atom_idx empty: rho at
-  // vac_idx currently still counts the atom at its old position, so remove
-  // that one contribution explicitly.
-  const double rho_after = rho_at(vac_idx, t);
-  const int sub = static_cast<int>(vac_idx & 1);
-  const auto& deltas = deltas_[sub];
-  double rho_corr = 0.0;
-  for (std::size_t k = 0; k < deltas.size(); ++k) {
-    if (vac_idx + static_cast<std::size_t>(deltas[k]) == atom_idx) {
-      rho_corr = f_shell(sub, t, t, k);
-      break;
-    }
-  }
-  const double e_after = embed.value(rho_after - rho_corr) +
-                         pair_energy_at(vac_idx, atom_idx, t);
+  const CentreSums before = centre_sums(atom_idx, t, static_cast<std::size_t>(-1));
+  // After the swap the atom sits at vac_idx with atom_idx empty: ρ at
+  // vac_idx still counts the atom at its old position, so that one
+  // contribution comes off explicitly, and the pair sum skips it.
+  const CentreSums after = centre_sums(vac_idx, t, atom_idx);
+  const double e_before = embed.value(before.rho) + before.pair;
+  const double e_after = embed.value(after.rho - after.partner_rho) + after.pair;
   return e_after - e_before;
 }
 

@@ -126,7 +126,8 @@ class KmcModel {
 
   /// Energy change of moving the atom at `atom_idx` into the vacancy at
   /// `vac_idx` (its 1NN), in the kinetically-resolved local approximation
-  /// described in DESIGN.md.
+  /// described in DESIGN.md: the same bits as embedding rho_at plus
+  /// pair_energy_at at each centre, from one stencil walk per centre.
   double exchange_dE(std::size_t vac_idx, std::size_t atom_idx) const;
 
   /// Transition rate k = nu * exp(-(E_m0 + dE/2) / kB T) (paper Eq. 4), with
@@ -195,6 +196,16 @@ class KmcModel {
   double phi_shell(int sub, int t0, int t1, std::size_t k) const {
     return phi_cache_[sub][pair_of(t0, t1) * offsets_[sub].size() + k];
   }
+
+  /// One walk of the cutoff stencil of `idx` for an atom of species `t`:
+  /// ρ over every occupied entry, the pair sum over all but `partner`, and
+  /// the ρ term of `partner` (0 unless it is an occupied stencil entry).
+  struct CentreSums {
+    double rho = 0.0;
+    double pair = 0.0;
+    double partner_rho = 0.0;
+  };
+  CentreSums centre_sums(std::size_t idx, int t, std::size_t partner) const;
 
   const KmcConfig cfg_;
   const lat::BccGeometry* geo_;

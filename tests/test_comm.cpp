@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,14 +36,77 @@ TEST(World, SingleRankRuns) {
 }
 
 TEST(World, RankExceptionPropagates) {
-  // A rank failure is rethrown on the caller after join. (Like MPI, other
-  // ranks must not enter collectives the failed rank would have joined.)
+  // A rank failure is rethrown on the caller after join. Ranks still running
+  // may enter collectives the failed rank would have joined: the world
+  // aborts them (RankFailureWakesBlockedRanks).
   World w(2);
   EXPECT_THROW(w.run([](Comm& c) {
     c.barrier();
     if (c.rank() == 1) throw std::runtime_error("boom");
   }),
                std::runtime_error);
+}
+
+/// Runs `w` with rank `failing` throwing std::runtime_error("rank failed")
+/// once every other rank is about to block (and a little after), and checks
+/// that run() rethrows that very exception, promptly.
+void expect_failure_wakes_blocked_ranks(World& w, int failing,
+                                        const std::function<void(Comm&)>& block) {
+  std::atomic<int> blocking{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    w.run([&](Comm& c) {
+      if (c.rank() != failing) {
+        blocking.fetch_add(1);
+        block(c);
+        ADD_FAILURE() << "rank " << c.rank() << " returned from its wait";
+        return;
+      }
+      while (blocking.load() < c.size() - 1) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("rank failed");
+    });
+    ADD_FAILURE() << "run() returned";
+  } catch (const WorldAborted&) {
+    ADD_FAILURE() << "run() rethrew the abort, not the failed rank's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank failed");
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  // The aborted world is spent.
+  EXPECT_THROW(w.run([](Comm&) {}), std::logic_error);
+}
+
+TEST(World, RankFailureWakesBlockedRanks) {
+  // Rank 1 throws while rank 0 waits in a barrier, rank 2 in recv and rank 3
+  // in wait_any: none of them can complete, and run() must still return
+  // rank 1's error at once instead of hanging.
+  World w(4);
+  expect_failure_wakes_blocked_ranks(w, 1, [](Comm& c) {
+    if (c.rank() == 0) {
+      c.barrier();
+    } else if (c.rank() == 2) {
+      c.recv(1, 5);
+    } else {
+      Request rs[2] = {c.irecv(1, 6), c.irecv(0, 7)};
+      c.wait_any(rs);
+    }
+  });
+}
+
+TEST(World, RankFailureWakesProbeWaitAndAllreduce) {
+  World w(4);
+  expect_failure_wakes_blocked_ranks(w, 3, [](Comm& c) {
+    if (c.rank() == 0) {
+      c.probe(3, 5);
+    } else if (c.rank() == 1) {
+      Request r = c.irecv(3, 6);
+      c.wait(r);
+    } else {
+      c.allreduce_sum(1.0);
+    }
+  });
 }
 
 TEST(Comm, SendRecvTyped) {
@@ -394,6 +460,49 @@ TEST(PutWindow, DrainIsDestructive) {
       EXPECT_TRUE(c.drain<std::uint32_t>(*win).empty());
     }
   });
+}
+
+TEST(FencedWindow, DrainHoldsOnlyItsEpochWhilePeersRunAhead) {
+  // The invariant behind the one-fence epoch: a rank that drains epoch e
+  // only after every peer has already put its epoch e+1 records still finds
+  // exactly the records of epoch e. (With one window and one barrier per
+  // epoch, the late drain would swallow epoch e+1's records.)
+  constexpr int kRanks = 4;
+  constexpr int kEpochs = 6;
+  World w(kRanks);
+  std::array<std::atomic<int>, kEpochs> put_done{};
+  w.run([&](Comm& c) {
+    FencedWindow win(c);
+    for (int e = 0; e < kEpochs; ++e) {
+      for (int target = 0; target < c.size(); ++target) {
+        const std::uint64_t rec = (static_cast<std::uint64_t>(e) << 32) |
+                                  (static_cast<std::uint64_t>(c.rank()) << 16) |
+                                  static_cast<std::uint64_t>(target);
+        win.put(c, target, std::span<const std::uint64_t>(&rec, 1));
+      }
+      put_done[static_cast<std::size_t>(e)].fetch_add(1);
+      win.fence(c);
+      // A different rank is late each epoch: it drains only once all its
+      // peers have put the next epoch.
+      if (c.rank() == e % c.size() && e + 1 < kEpochs) {
+        while (put_done[static_cast<std::size_t>(e + 1)].load() < c.size() - 1) {
+          std::this_thread::yield();
+        }
+      }
+      const auto got = win.drain<std::uint64_t>(c);
+      EXPECT_EQ(got.size(), static_cast<std::size_t>(kRanks))
+          << "rank " << c.rank() << " epoch " << e;
+      std::set<int> sources;
+      for (const std::uint64_t rec : got) {
+        EXPECT_EQ(static_cast<int>(rec >> 32), e) << "rank " << c.rank();
+        EXPECT_EQ(static_cast<int>(rec & 0xffff), c.rank());
+        sources.insert(static_cast<int>((rec >> 16) & 0xffff));
+      }
+      EXPECT_EQ(sources.size(), static_cast<std::size_t>(kRanks));
+    }
+  });
+  // Two window creations, one barrier per epoch.
+  EXPECT_EQ(w.traffic(0).collectives, 2u + kEpochs);
 }
 
 TEST(Request, IsendIrecvWaitDelivers) {

@@ -9,6 +9,7 @@
 #include "comm/world.h"
 #include "kmc/engine.h"
 #include "kmc/model.h"
+#include "util/rng.h"
 
 namespace mmd::kmc {
 namespace {
@@ -252,6 +253,97 @@ TEST(KmcModel, DivacancyBindingAffectsDe) {
     break;
   }
   EXPECT_GT(std::abs(dE_any), 1e-6);
+}
+
+/// Bitwise, unless the build contracts a*b+c into FMA (e.g.
+/// -march=x86-64-v3), where differently inlined call sites may round
+/// differently (as in test_eam.cpp).
+bool differs(double a, double b) {
+#if defined(__FMA__)
+  return std::abs(a - b) > 1e-12 * std::max(1.0, std::abs(b));
+#else
+  return a != b;
+#endif
+}
+
+TEST(KmcModel, ExchangeDeMatchesPerCentreWalksBitwise) {
+  // exchange_dE walks each centre's stencil once; the per-centre walks it
+  // replaced are rebuilt here from public pieces: embed(rho_at) plus
+  // pair_energy_at at each centre, and the partner's own density term
+  // (f(t, t) at its stencil slot) taken off the new host density. Every
+  // owned vacancy–1NN pair of a random configuration on rank 1 of 2, for Fe
+  // and Fe–Cu, covering ghost partners and partners next to other vacancies.
+  KmcConfig cfg = small_config();
+  const int kRanks = 2;
+  const lat::BccGeometry geo(cfg.nx, cfg.ny, cfg.nz, cfg.lattice_constant);
+  const lat::DomainDecomposition dd(
+      geo, kRanks, lat::required_halo_cells(cfg.lattice_constant, cfg.cutoff) + 1);
+  const pot::EamTableSet fe = pot::EamTableSet::build(
+      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), cfg.table_segments);
+  const pot::EamTableSet fecu = pot::EamTableSet::build(
+      pot::EamModel::iron_copper(cfg.lattice_constant, cfg.cutoff),
+      cfg.table_segments);
+  for (const double cu_fraction : {0.0, 0.2}) {
+    const pot::EamTableSet& tables = cu_fraction > 0.0 ? fecu : fe;
+    KmcModel m(cfg, geo, dd, tables, 1);
+    // States per global site, so every image of a site agrees.
+    const util::Rng site_rng(7);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      util::Rng r = site_rng.split(static_cast<std::uint64_t>(m.site_rank_of(i)));
+      SiteState st = SiteState::Fe;
+      if (r.uniform() < 0.08) {
+        st = SiteState::Vacancy;
+      } else if (r.uniform() < cu_fraction) {
+        st = SiteState::Cu;
+      }
+      m.set_state(i, st);
+    }
+    const lat::LocalBox& box = m.box();
+    int pairs = 0, ghost_partners = 0, crowded_partners = 0, cu_partners = 0;
+    for (const std::size_t vac : m.owned_indices()) {
+      if (m.state(vac) != SiteState::Vacancy) continue;
+      const lat::LocalCoord cv = box.coord_of(vac);
+      const auto& deltas = m.cutoff_deltas(cv.sub);
+      for (const auto& o : m.nn_offsets(cv.sub)) {
+        const std::size_t nb =
+            box.entry_index({cv.x + o.dx, cv.y + o.dy, cv.z + o.dz, o.to_sub});
+        if (!is_atom(m.state(nb))) continue;
+        const int t = static_cast<int>(m.state(nb));
+        const auto& embed = tables.embed_of(t);
+        const double e_before = embed.value(m.rho_at(nb, t)) +
+                                m.pair_energy_at(nb, static_cast<std::size_t>(-1), t);
+        double rho_corr = 0.0;
+        for (std::size_t k = 0; k < deltas.size(); ++k) {
+          if (vac + static_cast<std::size_t>(deltas[k]) == nb) {
+            rho_corr =
+                tables.f(t, t).value(std::sqrt(m.cutoff_offsets(cv.sub)[k].dist2));
+            break;
+          }
+        }
+        const double e_after = embed.value(m.rho_at(vac, t) - rho_corr) +
+                               m.pair_energy_at(vac, nb, t);
+        const double dE = m.exchange_dE(vac, nb);
+        EXPECT_FALSE(differs(dE, e_after - e_before))
+            << "vac " << vac << " partner " << nb << ": " << dE << " vs "
+            << e_after - e_before;
+        ++pairs;
+        if (!m.is_owned(nb)) ++ghost_partners;
+        if (t == static_cast<int>(SiteState::Cu)) ++cu_partners;
+        const auto& nb_deltas = m.cutoff_deltas(box.coord_of(nb).sub);
+        for (const std::int64_t d : nb_deltas) {
+          const std::size_t other = nb + static_cast<std::size_t>(d);
+          if (other != vac && m.state(other) == SiteState::Vacancy) {
+            ++crowded_partners;
+            break;
+          }
+        }
+      }
+    }
+    EXPECT_GT(pairs, 100) << "Cu fraction " << cu_fraction;
+    EXPECT_GT(ghost_partners, 0);
+    EXPECT_GT(crowded_partners, 0);
+    EXPECT_EQ(cu_partners > 0, cu_fraction > 0.0);
+  }
 }
 
 TEST(KmcModel, MemoryIsOneBytePerSitePlusTables) {
