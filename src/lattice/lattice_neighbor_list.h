@@ -7,6 +7,7 @@
 #include "lattice/geometry.h"
 #include "lattice/local_box.h"
 #include "lattice/neighbor_offsets.h"
+#include "lattice/soa_pack.h"
 
 namespace mmd::lat {
 
@@ -17,9 +18,9 @@ struct ParticleView {
   Species type;
   double rho;
   std::int64_t id;
-  /// Index of the particle in a per-particle plane of
-  /// LatticeNeighborList::particle_slots() values: entry i at slot i,
-  /// run-away node ri at runaway_slot(ri).
+  /// Index of the particle in the F'(rho) plane of lat::SoaPlanes:
+  /// entry i at LatticeNeighborList::entry_slot(i) (sublattice-major),
+  /// run-away node ri at runaway_slot(ri), after every entry.
   std::size_t slot;
 };
 
@@ -132,7 +133,7 @@ class LatticeNeighborList {
     const RunawayAtom& self = runaways_[static_cast<std::size_t>(ri)];
     const AtomEntry& host = entries_[host_idx];
     if (host.is_atom()) {
-      f(ParticleView{host.r, host.type, host.rho, host.id, host_idx});
+      f(ParticleView{host.r, host.type, host.rho, host.id, entry_slot(host_idx)});
     }
     visit_region(host_idx, self.id, f);
   }
@@ -144,11 +145,16 @@ class LatticeNeighborList {
     return runaways_[static_cast<std::size_t>(i)];
   }
 
-  /// Size of a per-particle plane indexed by ParticleView::slot: one slot
-  /// per entry, then one per run-away pool node (live or free).
-  std::size_t particle_slots() const { return entries_.size() + runaways_.size(); }
+  /// Run-away pool nodes (live or free): the run-away slots a particle
+  /// plane indexed by ParticleView::slot needs after its entry slots.
+  std::size_t runaway_slots() const { return runaways_.size(); }
+  /// ParticleView::slot of entry i and of run-away node ri, in the layout of
+  /// lat::SoaPlanes.
+  std::size_t entry_slot(std::size_t i) const {
+    return SoaPlanes::slot_of(i, entries_.size() >> 1);
+  }
   std::size_t runaway_slot(std::int32_t ri) const {
-    return entries_.size() + static_cast<std::size_t>(ri);
+    return SoaPlanes::runaway_slot_of(ri, entries_.size() >> 1);
   }
 
   /// Allocate a run-away node and push it onto the chain of `host_idx`.
@@ -217,7 +223,7 @@ class LatticeNeighborList {
       const std::size_t n = idx + static_cast<std::size_t>(d);
       const AtomEntry& e = entries_[n];
       if (e.is_atom() && e.id != self_id) {
-        f(ParticleView{e.r, e.type, e.rho, e.id, n});
+        f(ParticleView{e.r, e.type, e.rho, e.id, entry_slot(n)});
       }
       visit_chain(e.runaway_head, self_id, f);
     }

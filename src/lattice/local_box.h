@@ -26,6 +26,8 @@ struct LocalBox {
   int lx = 0, ly = 0, lz = 0;  ///< owned extent in unit cells
   int halo = 0;                ///< ghost shell width in unit cells
 
+  friend bool operator==(const LocalBox&, const LocalBox&) = default;
+
   int sx() const { return lx + 2 * halo; }
   int sy() const { return ly + 2 * halo; }
   int sz() const { return lz + 2 * halo; }

@@ -1,17 +1,20 @@
 #include "lattice/soa_pack.h"
 
+#include <algorithm>
+
 #include "lattice/lattice_neighbor_list.h"
 
 namespace mmd::lat {
 
-void SoaPlanes::reset(const LocalBox& box) {
+void SoaPlanes::reset(const LocalBox& box, std::size_t runaways) {
   num_cells_ = box.num_cells();
   const std::size_t n = 2 * num_cells_;
-  x_.resize(n);
-  y_.resize(n);
-  z_.resize(n);
-  fprime_.resize(n);
-  id_.resize(n);
+  for (std::vector<double>* plane : {&x_, &y_, &z_, &id_}) {
+    plane->resize(n + kTailPad);
+    std::fill(plane->begin() + static_cast<std::ptrdiff_t>(n), plane->end(),
+              plane == &id_ ? -1.0 : 0.0);
+  }
+  fprime_.resize(n + runaways + kTailPad);
 }
 
 void SoaPlanes::pack_positions(const LatticeNeighborList& lnl) {

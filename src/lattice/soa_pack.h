@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "lattice/local_box.h"
@@ -10,10 +11,13 @@ namespace mmd::lat {
 
 class LatticeNeighborList;
 
-/// Sublattice-deinterleaved SoA staging planes for the slave-core force path.
+/// Sublattice-deinterleaved SoA particle planes, one set per rank, read by
+/// both force kernels: the slave-core sweeps stage them into their local
+/// store windows, and md::ReferenceForce's lane path loads them straight
+/// from main memory.
 ///
 /// The lattice neighbor list stores entries AoS and sublattice-interleaved
-/// (entry index = 2*cell + sub). For SIMD the force kernel wants the
+/// (entry index = 2*cell + sub). For SIMD the force kernels want the
 /// opposite: one PLANE per field (x, y, z, F'(rho), id) laid out sub-major —
 ///
 ///     plane[sub * num_cells + cell]
@@ -25,21 +29,46 @@ class LatticeNeighborList;
 /// unit-stride unaligned vector load, and the block-window DMA stays a run
 /// per (plane, sub, row).
 ///
+/// Every plane ends in kTailPad slots past the 2*num_cells entry slots, so
+/// a group of four that starts in a row's last owned cells, and each of its
+/// stencil loads, stays inside the allocation; the pad reads as non-atom
+/// (id -1, position 0). The F'(rho) plane also holds one slot per run-away
+/// pool node, right after the entries (runaway_slot), which is where
+/// lat::ParticleView::slot points for a run-away.
+///
 /// Field semantics match the old AoS Packed record: `id` is the global atom
 /// id as a double, negative (-1.0) for vacancies/unset entries — the packed
-/// is-atom mask; `fprime` is F'(rho) for force passes and 0 in the rho pass.
+/// is-atom mask; `fprime` is F'(rho), written by the force kernel that owns
+/// the planes.
 class SoaPlanes {
  public:
-  /// Resize the planes for one rank's storage (owned + ghost cells).
-  void reset(const LocalBox& box);
+  /// Slots after the entries that a lane group may load. A group's last
+  /// lanes lie up to three cells past its row, so a stencil that reached
+  /// the far corner of the halo would load up to three slots past the last
+  /// entry slot. (A BCC cutoff sphere never reaches that corner of its
+  /// halo; the pad keeps the bound independent of the stencil's shape.)
+  static constexpr std::size_t kTailPad = 4;
 
+  /// Resize the planes for one rank's storage (owned + ghost cells), with
+  /// `runaways` run-away slots in the F'(rho) plane, and rewrite the tail
+  /// pad. Kept contents are stale after a change of box.
+  void reset(const LocalBox& box, std::size_t runaways = 0);
+
+  /// Entry slots per plane (the tail pad and run-away slots not counted).
   std::size_t size() const { return 2 * num_cells_; }
   std::size_t cells() const { return num_cells_; }
   bool empty() const { return num_cells_ == 0; }
 
   /// Plane slot of a lattice entry index: cell + sub*num_cells.
+  static std::size_t slot_of(std::size_t entry_idx, std::size_t num_cells) {
+    return (entry_idx >> 1) + (entry_idx & 1) * num_cells;
+  }
   std::size_t slot(std::size_t entry_idx) const {
-    return (entry_idx >> 1) + (entry_idx & 1) * num_cells_;
+    return slot_of(entry_idx, num_cells_);
+  }
+  /// F'(rho) slot of run-away pool node `ri`: after every entry slot.
+  static std::size_t runaway_slot_of(std::int32_t ri, std::size_t num_cells) {
+    return 2 * num_cells + static_cast<std::size_t>(ri);
   }
   /// Inverse of slot() — entry index whose fields live at plane slot `s`.
   std::size_t entry_of(std::size_t s) const {

@@ -16,6 +16,7 @@
 #include "lattice/ghost_exchange.h"
 #include "md/engine.h"
 #include "md/reference_force.h"
+#include "telemetry/session.h"
 
 namespace mmd::md {
 namespace {
@@ -484,6 +485,152 @@ TEST(ReferenceForceEvaluator, CrowdedNeighbourhoodGrowsRecordPlanes) {
       EXPECT_EQ(m.force, 0u) << "simd " << force->simd();
     }
   });
+}
+
+/// Counts of one ReferenceForce pass pair, read from the telemetry counters.
+struct PathCounts {
+  std::uint64_t lanes = 0, records = 0;
+};
+
+PathCounts path_counts(const telemetry::Session& session) {
+  const auto agg = session.metrics().aggregate();
+  return {agg.counter("md.force.lane_atoms"), agg.counter("md.force.record_atoms")};
+}
+
+TEST(ReferenceForceLanes, MatchRecordsPathBitwise) {
+  // The lane path against the records path (set_simd(false)) where the
+  // cascade oracles do not reach: 1-rank boxes of 5, 6 and 7 cells, whose
+  // rows end mid-group, with vacancies, run-aways chained to owned hosts
+  // (and so to their periodic images on ghost hosts at the storage edge),
+  // and an entry with two chains in its stencil. One object runs all three
+  // boxes, so it must rebuild its groups per box. Every owned entry's and
+  // run-away's rho and F must be equal; the interior/boundary split of the
+  // lane path must equal its unsplit call exactly; and exactly the owned
+  // atoms whose visit reaches a chain node take the records path.
+  if (!ReferenceForce::simd_supported()) GTEST_SKIP() << "this CPU has no AVX2";
+  MdConfig base_cfg;
+  base_cfg.temperature = 600.0;
+  base_cfg.table_segments = 2000;
+  const auto tables = pot::EamTableSet::build(
+      pot::EamModel::iron(base_cfg.lattice_constant, base_cfg.cutoff),
+      base_cfg.table_segments);
+  telemetry::Session session(1);
+  ReferenceForce lanes(tables);
+  ReferenceForce records(tables);
+  records.set_simd(false);
+  ASSERT_TRUE(lanes.simd());
+  for (const int n : {5, 6, 7}) {
+    SCOPED_TRACE(n);
+    MdConfig cfg = base_cfg;
+    cfg.nx = cfg.ny = cfg.nz = n;
+    const MdSetup setup(cfg, 1);
+    comm::World world(1);
+    world.run([&](comm::Comm& comm) {
+      MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
+      engine.initialize(comm);
+      engine.run(comm, 2);
+      lat::LatticeNeighborList lnl = engine.lattice();
+      const lat::LocalBox& box = lnl.box();
+      ASSERT_EQ(box.lx, n);
+      auto at = [&](int x, int y, int z, int sub) {
+        return box.entry_index({x, y, z, sub});
+      };
+      // Two plain vacancies, one in a row's last cell.
+      for (const std::size_t v : {at(0, 2, 3, 1), at(n - 1, 1, 2, 0)}) {
+        lnl.entry(v).id = lat::AtomEntry::vacancy_id(lnl.site_rank(v));
+      }
+      // Interstitials: one on (1,1,1), whose images sit on the outermost
+      // ghost layer, and two on neighbouring hosts that both lie in
+      // (3,3,3,0)'s stencil.
+      std::int64_t next_id = setup.geo.num_sites();
+      for (const std::size_t host : {at(1, 1, 1, 0), at(3, 3, 2, 0), at(3, 3, 3, 1)}) {
+        lat::RunawayAtom a;
+        a.r = lnl.ideal_position(host) + util::Vec3{0.6, 0.4, 0.2};
+        a.id = next_id++;
+        lnl.add_runaway(a, host);
+      }
+      // A detached atom in a row's last cell: a vacancy with its own chain.
+      const std::size_t det = at(n - 1, 3, 1, 1);
+      lnl.entry(det).r += util::Vec3{0.5, 0.3, 0.1};
+      lnl.detach(det);
+      ASSERT_TRUE(lnl.entry(det).is_vacancy());
+      {
+        lat::GhostExchange ghosts(lnl, setup.dd, comm.rank());
+        ghosts.exchange(comm);
+      }
+      std::size_t edge_chains = 0;
+      for (std::size_t g : lnl.ghost_indices()) {
+        const lat::LocalCoord c = box.coord_of(g);
+        const bool edge = c.x == n + 1 || c.y == n + 1 || c.z == n + 1;
+        if (edge && lnl.entry(g).runaway_head != lat::AtomEntry::kNoRunaway) {
+          ++edge_chains;
+        }
+      }
+      EXPECT_GT(edge_chains, 0u);
+
+      // Owned atoms whose visit reaches a chain node: the records path's.
+      const std::size_t first_runaway_slot = lnl.runaway_slot(0);
+      std::size_t owned_atoms = 0, chained = 0, owned_runaways = 0;
+      std::size_t most_hosts = 0;
+      for (std::size_t idx : lnl.owned_indices()) {
+        if (!lnl.entry(idx).is_atom()) continue;
+        ++owned_atoms;
+        bool reaches = false;
+        lnl.for_each_neighbor_of_entry(idx, [&](const lat::ParticleView& p) {
+          reaches = reaches || p.slot >= first_runaway_slot;
+        });
+        if (reaches) ++chained;
+        std::size_t hosts = 0;
+        for (const std::int64_t d : lnl.deltas(static_cast<int>(idx & 1))) {
+          const std::size_t j = idx + static_cast<std::size_t>(d);
+          if (lnl.entry(j).runaway_head != lat::AtomEntry::kNoRunaway) ++hosts;
+        }
+        most_hosts = std::max(most_hosts, hosts);
+      }
+      lnl.for_each_owned_runaway([&](std::int32_t, std::size_t) { ++owned_runaways; });
+      EXPECT_GE(most_hosts, 2u);
+      EXPECT_GT(chained, 0u);
+
+      lat::LatticeNeighborList rec = lnl, lane = lnl, split = lnl;
+      lat::GhostExchange rec_ghosts(rec, setup.dd, comm.rank());
+      lat::GhostExchange lane_ghosts(lane, setup.dd, comm.rank());
+      lat::GhostExchange split_ghosts(split, setup.dd, comm.rank());
+      records.compute_rho(rec);
+      rec_ghosts.exchange_rho(comm);
+      records.compute_forces(rec);
+
+      const PathCounts before = path_counts(session);
+      lanes.compute_rho(lane);
+      const PathCounts after = path_counts(session);
+      lane_ghosts.exchange_rho(comm);
+      lanes.compute_forces(lane);
+      EXPECT_EQ(after.lanes - before.lanes, owned_atoms - chained);
+      EXPECT_EQ(after.records - before.records, chained + owned_runaways);
+
+      lanes.compute_rho(split);
+      lanes.compute_forces_interior(split);
+      split_ghosts.exchange_rho(comm);
+      lanes.compute_forces_boundary(split);
+
+      Mismatches m;
+      std::size_t split_diffs = 0;
+      for (std::size_t idx : lnl.owned_indices()) {
+        if (!lnl.entry(idx).is_atom()) continue;
+        tally(m, lane.entry(idx), rec.entry(idx).rho, rec.entry(idx).f);
+        if (!(split.entry(idx).f == lane.entry(idx).f)) ++split_diffs;
+      }
+      std::size_t runaways = 0;
+      lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
+        tally(m, lane.runaway(ri), rec.runaway(ri).rho, rec.runaway(ri).f);
+        if (!(split.runaway(ri).f == lane.runaway(ri).f)) ++split_diffs;
+        ++runaways;
+      });
+      EXPECT_EQ(runaways, 4u);
+      EXPECT_EQ(m.rho, 0u);
+      EXPECT_EQ(m.force, 0u);
+      EXPECT_EQ(split_diffs, 0u);
+    });
+  }
 }
 
 TEST(ReferenceForce, PotentialEnergyDeterministicAcrossRuns) {
