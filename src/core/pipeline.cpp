@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "io/checkpoint.h"
 #include "io/checkpoint_store.h"
@@ -67,12 +68,12 @@ void MdCascadeStage::advance(comm::Comm& comm, StageState& state,
       md_.inject_pka(comm, site, rng.unit_vector(), cfg_.pka_energy_ev);
     }
     md_.run_for(comm, cfg_.md_time_ps);
+    state.md_defects = md_.defects(comm);
+    state.handoff = HandoffState::capture(md_);
+    clock.md_time_ps = md_.simulated_time();
   }
-  // A restored run skips the dynamics (the lattice was loaded) but still
-  // produces the census and the handoff from the frozen MD lattice.
-  state.md_defects = md_.defects(comm);
-  state.handoff = HandoffState::capture(md_);
-  clock.md_time_ps = md_.simulated_time();
+  // A restored run never touches the MD lattice: KmcStage::resume restored
+  // the census and the MD clock from the epoch.
   telemetry::set_gauge("md.compute_seconds", md_.computation_seconds());
   telemetry::set_gauge("md.comm_seconds", md_.communication_seconds());
 }
@@ -80,8 +81,8 @@ void MdCascadeStage::advance(comm::Comm& comm, StageState& state,
 // --- KmcStage ---
 
 KmcStage::KmcStage(const SimulationConfig& cfg, kmc::KmcEngine& kmc,
-                   md::MdEngine& md, io::CheckpointStore* store)
-    : cfg_(cfg), kmc_(kmc), md_(md), store_(store) {}
+                   io::CheckpointStore* store)
+    : cfg_(cfg), kmc_(kmc), store_(store) {}
 
 double KmcStage::mc_time() const { return kmc_.mc_time(); }
 
@@ -96,8 +97,8 @@ void KmcStage::begin(comm::Comm& comm, StageState& state) {
     state.vacancies_before = kmc_.gather_vacancies(comm);
   } else {
     // The restored sites already contain the handoff (vacancies AND any
-    // solute arrangement); reconstruct the pre-KMC vacancy census from
-    // the frozen MD lattice instead of the evolved KMC state.
+    // solute arrangement); rebuild the pre-KMC vacancy list from the
+    // restored census instead of the evolved KMC state.
     state.vacancies_before = comm.gather_to<std::int64_t>(
         0, state.handoff.vacancy_sites, comm::tags::kSimVacancyGather);
     std::sort(state.vacancies_before.begin(), state.vacancies_before.end());
@@ -133,7 +134,7 @@ void KmcStage::save_epoch(comm::Comm& comm, const StageState& state,
   meta.rank = comm.rank();
   meta.nranks = comm.size();
   meta.seed = cfg_.md.seed;
-  meta.md_time_ps = md_.simulated_time();
+  meta.md_time_ps = clock.md_time_ps;
   meta.kmc = kmc_.engine_state();
   meta.stage_tag = stage_tag(cfg_);
   meta.sample_windows = state.sampled.windows;
@@ -141,7 +142,8 @@ void KmcStage::save_epoch(comm::Comm& comm, const StageState& state,
   meta.sample_est_clusters = state.sampled.est_clusters;
   meta.sample_ci_halfwidth = state.sampled.ci_halfwidth;
   io::Checkpoint::write_meta_section(os, meta);
-  io::Checkpoint::write_md_section(os, md_.lattice(), md_.simulated_time());
+  io::Checkpoint::write_census_section(
+      os, kmc_.model(), {state.md_defects, state.handoff.vacancy_sites});
   io::Checkpoint::write_kmc_section(os, kmc_.model(), meta.kmc.mc_time);
   const std::string blob = os.str();
   const bool ok = store_->write_rank_blob(done_, comm.rank(), blob);
@@ -174,6 +176,7 @@ void KmcStage::resume(comm::Comm& comm, StageState& state, StageClock& clock,
                       const std::vector<std::uint64_t>& epochs) {
   for (const std::uint64_t epoch : epochs) {
     io::Checkpoint::MetaState meta;
+    io::Checkpoint::Census census;
     bool ok = true;
     std::string error;
     try {
@@ -187,7 +190,7 @@ void KmcStage::resume(comm::Comm& comm, StageState& state, StageClock& clock,
         throw std::runtime_error(
             "checkpoint was written by a different run configuration");
       }
-      md_.set_simulated_time(io::Checkpoint::read_md_section(is, md_.lattice()));
+      census = io::Checkpoint::read_census_section(is, kmc_.model());
       io::Checkpoint::read_kmc_section(is, kmc_.model());
     } catch (const std::exception& e) {
       ok = false;
@@ -201,6 +204,9 @@ void KmcStage::resume(comm::Comm& comm, StageState& state, StageClock& clock,
       telemetry::count("ckpt.resumed_ranks");
       state.restored = true;
       state.restored_cycles = meta.kmc.cycles;
+      state.md_defects = census.md_defects;
+      state.handoff.vacancy_sites = std::move(census.vacancy_sites);
+      clock.md_time_ps = meta.md_time_ps;
       // Sampled-schedule position: the scheduler re-enters the window/
       // stride loop exactly where the interrupted run left off.
       state.sampled.windows = meta.sample_windows;

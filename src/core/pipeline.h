@@ -37,9 +37,9 @@ class Pipeline {
 };
 
 /// Stage 1 of the coupled pipeline: cascade-collision defect generation.
-/// Initializes the lattice, seeds solutes, injects the PKAs and integrates
-/// the cascade window; a checkpoint-restored run skips the dynamics (the
-/// lattice was loaded) but still produces the census and the handoff.
+/// Initializes the lattice, seeds solutes, injects the PKAs, integrates the
+/// cascade window and captures the census and the handoff; a
+/// checkpoint-restored run skips it all (its census came from the epoch).
 class MdCascadeStage : public StagePropagator {
  public:
   MdCascadeStage(const SimulationConfig& cfg, std::uint64_t num_sites,
@@ -62,7 +62,7 @@ class MdCascadeStage : public StagePropagator {
 /// executing the byte-identical cycle sequence.
 class KmcStage : public StagePropagator {
  public:
-  KmcStage(const SimulationConfig& cfg, kmc::KmcEngine& kmc, md::MdEngine& md,
+  KmcStage(const SimulationConfig& cfg, kmc::KmcEngine& kmc,
            io::CheckpointStore* store);
 
   const char* name() const override { return "kmc"; }
@@ -70,10 +70,11 @@ class KmcStage : public StagePropagator {
 
   /// Collective, before the pipeline runs: adopt the first of `epochs`
   /// (newest first, the same list on every rank) that EVERY rank validates,
-  /// restoring the MD lattice, the KMC sites and engine state, and the
-  /// schedule position in `state`/`clock`. A rejected epoch makes all ranks
-  /// fall back to the next one together; when none is usable the KMC sites
-  /// are reset and the run starts fresh. No-op for an empty list.
+  /// restoring the MD->KMC census, the KMC sites and engine state, the MD
+  /// clock and the schedule position in `state`/`clock`. A rejected epoch
+  /// makes all ranks fall back to the next one together; when none is
+  /// usable the KMC sites are reset and the run starts fresh. No-op for an
+  /// empty list.
   void resume(comm::Comm& comm, StageState& state, StageClock& clock,
               const std::vector<std::uint64_t>& epochs);
 
@@ -104,7 +105,6 @@ class KmcStage : public StagePropagator {
 
   const SimulationConfig& cfg_;
   kmc::KmcEngine& kmc_;
-  md::MdEngine& md_;
   io::CheckpointStore* store_;
   std::uint64_t done_ = 0;
 };

@@ -152,8 +152,7 @@ SimulationReport Simulation::run() {
       md_engine.use_slave_kernel(slave_force.get());
     }
 
-    auto kmc_stage = std::make_unique<KmcStage>(cfg_, kmc_engine, md_engine,
-                                                store.get());
+    auto kmc_stage = std::make_unique<KmcStage>(cfg_, kmc_engine, store.get());
     StageState state;
     StageClock clock;
     kmc_stage->resume(comm, state, clock, resume_epochs);

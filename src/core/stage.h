@@ -90,7 +90,8 @@ struct StageClock {
 struct StageState {
   HandoffState handoff;
   /// Whether this run restored from a checkpoint, and from which KMC cycle;
-  /// a restored run skips the MD cascade (the lattice was loaded).
+  /// a restored run skips the MD cascade (md_defects and the handoff's
+  /// vacancy_sites came from the epoch's census).
   bool restored = false;
   std::uint64_t restored_cycles = 0;
   /// Sampled-mode schedule position restored from a checkpoint (windows

@@ -14,9 +14,6 @@ namespace mmd::io {
 
 namespace {
 
-// Serialized record sizes (fields only — no struct padding).
-constexpr std::size_t kEntryBytes = 10 * 8 + 8 + 2;    // r v f rho, id, type
-constexpr std::size_t kRunawayBytes = 10 * 8 + 8 + 2;  // same fields
 // Length bound for sections read from non-seekable streams, where the real
 // remaining byte count cannot be determined.
 constexpr std::uint64_t kMaxBlindSectionBytes = 1ull << 28;
@@ -69,7 +66,7 @@ std::uint64_t remaining_stream_bytes(std::istream& is) {
   return static_cast<std::uint64_t>(end - pos);
 }
 
-/// Shared geometry/decomposition prefix of MD and KMC payloads.
+/// Shared geometry/decomposition prefix of the CENSUS and KMC payloads.
 struct GeoPrefix {
   std::int32_t nx = 0, ny = 0, nz = 0;
   std::int32_t ox = 0, oy = 0, oz = 0;
@@ -116,15 +113,12 @@ void check_geometry(const GeoPrefix& saved, const lat::BccGeometry& geo,
   }
 }
 
-void write_kinematics(ByteWriter& w, const util::Vec3& r, const util::Vec3& v,
-                      const util::Vec3& f, double rho, std::int64_t id,
-                      lat::Species type) {
-  w.put_vec3(r);
-  w.put_vec3(v);
-  w.put_vec3(f);
-  w.put_f64(rho);
-  w.put_i64(id);
-  w.put_i16(static_cast<std::int16_t>(type));
+/// Whether global site rank `site` is an owned site of `box`.
+bool owns_site(const lat::BccGeometry& geo, const lat::LocalBox& box,
+               std::int64_t site) {
+  if (site < 0 || site >= geo.num_sites()) return false;
+  const lat::SiteCoord c = geo.site_coord(site);
+  return box.owns({c.x - box.ox, c.y - box.oy, c.z - box.oz, c.sub});
 }
 
 }  // namespace
@@ -149,6 +143,12 @@ void Checkpoint::read_file_header(std::istream& is) {
         "Checkpoint: file is format version 2 (no stage-schedule META). This "
         "build reads only version 3 — re-generate the checkpoint from a "
         "fresh run; a v2 epoch cannot position the stage pipeline.");
+  }
+  if (version == 3) {
+    throw std::runtime_error(
+        "Checkpoint: file is format version 3 (frozen MD lattice, no "
+        "handoff census). This build reads only version 4 — re-generate the "
+        "checkpoint from a fresh run.");
   }
   if (version != kVersion) {
     throw std::runtime_error("Checkpoint: unsupported format version " +
@@ -194,84 +194,6 @@ std::string Checkpoint::read_section(std::istream& is,
   return payload;
 }
 
-void Checkpoint::write_md_section(std::ostream& os,
-                                  const lat::LatticeNeighborList& lnl,
-                                  double time_ps) {
-  ByteWriter w;
-  GeoPrefix::of(lnl.geometry(), lnl.box()).write(w);
-  w.put_f64(time_ps);
-  w.put_u64(lnl.owned_indices().size());
-  for (std::size_t idx : lnl.owned_indices()) {
-    const lat::AtomEntry& e = lnl.entry(idx);
-    write_kinematics(w, e.r, e.v, e.f, e.rho, e.id, e.type);
-    // The run-away chain is written inline, head first; `runaway_head` and
-    // the pool links are rebuilt at load.
-    std::uint32_t chain_len = 0;
-    for (std::int32_t ri = e.runaway_head; ri != lat::AtomEntry::kNoRunaway;
-         ri = lnl.runaway(ri).next) {
-      ++chain_len;
-    }
-    w.put_u32(chain_len);
-    for (std::int32_t ri = e.runaway_head; ri != lat::AtomEntry::kNoRunaway;
-         ri = lnl.runaway(ri).next) {
-      const lat::RunawayAtom& a = lnl.runaway(ri);
-      write_kinematics(w, a.r, a.v, a.f, a.rho, a.id, a.type);
-    }
-  }
-  write_section(os, kKindMd, w.str());
-}
-
-double Checkpoint::read_md_section(std::istream& is,
-                                   lat::LatticeNeighborList& lnl) {
-  const std::string payload = read_section(is, kKindMd);
-  ByteReader r(payload);
-  check_geometry(GeoPrefix::read(r), lnl.geometry(), lnl.box());
-  const double time_ps = r.get_f64();
-  const std::uint64_t count = r.get_u64();
-  if (count != lnl.owned_indices().size()) {
-    throw std::runtime_error("Checkpoint: owned-entry count mismatch");
-  }
-  // Reset everything (also clears the run-away pool), then repopulate.
-  lnl.fill_perfect(lat::Species::Fe);
-  lnl.clear_ghosts();
-  std::vector<lat::RunawayAtom> chain;
-  for (std::size_t idx : lnl.owned_indices()) {
-    lat::AtomEntry e;
-    e.r = r.get_vec3();
-    e.v = r.get_vec3();
-    e.f = r.get_vec3();
-    e.rho = r.get_f64();
-    e.id = r.get_i64();
-    e.type = static_cast<lat::Species>(r.get_i16());
-    e.runaway_head = lat::AtomEntry::kNoRunaway;
-    lnl.entry(idx) = e;
-    const std::uint32_t chain_len = r.get_u32();
-    // A corrupt length must not drive the allocation below: bound it by the
-    // records that can actually still be present in the payload.
-    if (chain_len > r.remaining() / kRunawayBytes) {
-      throw std::runtime_error(
-          "Checkpoint: run-away chain length " + std::to_string(chain_len) +
-          " exceeds the " + std::to_string(r.remaining()) +
-          " payload bytes remaining");
-    }
-    chain.assign(chain_len, {});
-    for (auto& a : chain) {
-      a.r = r.get_vec3();
-      a.v = r.get_vec3();
-      a.f = r.get_vec3();
-      a.rho = r.get_f64();
-      a.id = r.get_i64();
-      a.type = static_cast<lat::Species>(r.get_i16());
-    }
-    // Chains restore in reverse so the head order matches the saved order.
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      it->next = lat::AtomEntry::kNoRunaway;
-      lnl.add_runaway(*it, idx);
-    }
-  }
-  return time_ps;
-}
-
 void Checkpoint::write_kmc_section(std::ostream& os, const kmc::KmcModel& model,
                                    double mc_time_s) {
   ByteWriter w;
@@ -297,6 +219,49 @@ double Checkpoint::read_kmc_section(std::istream& is, kmc::KmcModel& model) {
     model.set_state(idx, static_cast<kmc::SiteState>(r.get_u8()));
   }
   return mc_time_s;
+}
+
+void Checkpoint::write_census_section(std::ostream& os,
+                                      const kmc::KmcModel& model,
+                                      const Census& census) {
+  ByteWriter w;
+  GeoPrefix::of(model.geometry(), model.box()).write(w);
+  w.put_u64(census.md_defects.atoms);
+  w.put_u64(census.md_defects.vacancies);
+  w.put_u64(census.md_defects.interstitials);
+  w.put_u64(census.vacancy_sites.size());
+  for (const std::int64_t site : census.vacancy_sites) w.put_i64(site);
+  write_section(os, kKindCensus, w.str());
+}
+
+Checkpoint::Census Checkpoint::read_census_section(std::istream& is,
+                                                   const kmc::KmcModel& model) {
+  const std::string payload = read_section(is, kKindCensus);
+  ByteReader r(payload);
+  check_geometry(GeoPrefix::read(r), model.geometry(), model.box());
+  Census census;
+  census.md_defects.atoms = r.get_u64();
+  census.md_defects.vacancies = r.get_u64();
+  census.md_defects.interstitials = r.get_u64();
+  const std::uint64_t count = r.get_u64();
+  // A corrupt count must not drive the allocation below: bound it by the
+  // site ranks that can actually still be present in the payload.
+  if (count > r.remaining() / sizeof(std::int64_t)) {
+    throw std::runtime_error(
+        "Checkpoint: vacancy count " + std::to_string(count) +
+        " exceeds the " + std::to_string(r.remaining()) +
+        " payload bytes remaining");
+  }
+  census.vacancy_sites.resize(static_cast<std::size_t>(count));
+  for (std::int64_t& site : census.vacancy_sites) {
+    site = r.get_i64();
+    if (!owns_site(model.geometry(), model.box(), site)) {
+      throw std::runtime_error("Checkpoint: vacancy site " +
+                               std::to_string(site) +
+                               " is not an owned site of this rank");
+    }
+  }
+  return census;
 }
 
 void Checkpoint::write_meta_section(std::ostream& os, const MetaState& meta) {
@@ -348,17 +313,6 @@ Checkpoint::MetaState Checkpoint::read_meta_section(std::istream& is) {
   meta.sample_est_clusters = r.get_f64();
   meta.sample_ci_halfwidth = r.get_f64();
   return meta;
-}
-
-void Checkpoint::save_md(std::ostream& os, const lat::LatticeNeighborList& lnl,
-                         double time_ps) {
-  write_file_header(os);
-  write_md_section(os, lnl, time_ps);
-}
-
-double Checkpoint::load_md(std::istream& is, lat::LatticeNeighborList& lnl) {
-  read_file_header(is);
-  return read_md_section(is, lnl);
 }
 
 void Checkpoint::save_kmc(std::ostream& os, const kmc::KmcModel& model,

@@ -3,20 +3,23 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "kmc/engine.h"
 #include "kmc/model.h"
-#include "lattice/lattice_neighbor_list.h"
+#include "md/defects.h"
 
 namespace mmd::io {
 
 /// Binary checkpointing of simulation state: versioned, CRC-guarded section
-/// stream. An MD section captures every owned entry (atoms, vacancies,
-/// velocities, forces) plus the run-away pool; a KMC section captures the
-/// owned site states; a META section captures the coupled-pipeline clocks,
-/// cycle/event counters, and RNG state that restart equivalence depends on.
+/// stream. A KMC epoch holds three sections: META (the coupled-pipeline
+/// clocks, cycle/event counters and RNG state that restart equivalence
+/// depends on), CENSUS (what the MD stage handed to KMC: the MD defect counts
+/// and this rank's handoff vacancy sites) and KMC (the owned site states).
+/// The MD lattice is not saved: no epoch is taken inside the MD stage, and
+/// after it the census is all a resumed run reads of it.
 ///
-/// Format v3 (see docs/CHECKPOINTING.md):
+/// Format v4 (see docs/CHECKPOINTING.md):
 ///   file    := magic u32 | version u32 | section*
 ///   section := kind u32 | payload_len u64 | crc32(payload) u32 | payload
 ///
@@ -32,16 +35,17 @@ namespace mmd::io {
 class Checkpoint {
  public:
   static constexpr std::uint32_t kMagic = 0x4d4d4443;  // "MMDC"
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
+  /// Kind 1 was the v3 MD lattice section; it is retired, never reused.
   enum Kind : std::uint32_t {
-    kKindMd = 1,
     kKindKmc = 2,
     kKindMeta = 3,
+    kKindCensus = 4,
   };
 
-  /// Coupled-pipeline state beyond the raw lattice/site arrays: everything a
-  /// resumed run needs to continue bit-identically to an uninterrupted one.
+  /// Coupled-pipeline state beyond the census and the site array: everything
+  /// a resumed run needs to continue bit-identically to an uninterrupted one.
   struct MetaState {
     std::int32_t rank = 0;
     std::int32_t nranks = 1;
@@ -62,15 +66,15 @@ class Checkpoint {
     double sample_ci_halfwidth = 0.0;   ///< ... and its 95% CI halfwidth
   };
 
+  /// What the MD stage handed to KMC: all a resumed run needs of the MD
+  /// lattice, which no longer changes once the KMC stage starts.
+  struct Census {
+    md::DefectSummary md_defects;  ///< allreduced, the same on every rank
+    /// Global site ranks of this rank's owned vacancies at the handoff.
+    std::vector<std::int64_t> vacancy_sites;
+  };
+
   // --- whole-file convenience (one header + one section) ---
-
-  /// Serialize the owned state of a lattice neighbor list.
-  static void save_md(std::ostream& os, const lat::LatticeNeighborList& lnl,
-                      double time_ps);
-
-  /// Restore into a compatible lattice; returns the saved simulation time.
-  /// Ghosts are left UNSET — run a ghost exchange before computing forces.
-  static double load_md(std::istream& is, lat::LatticeNeighborList& lnl);
 
   /// Serialize the owned sites of a KMC model plus the MC clock.
   static void save_kmc(std::ostream& os, const kmc::KmcModel& model,
@@ -81,14 +85,17 @@ class Checkpoint {
   // --- composing multi-section rank files (the coupled pipeline) ---
 
   static void write_file_header(std::ostream& os);
-  /// Throws on bad magic or version; a v1 file gets an explicit migration
-  /// message rather than a generic mismatch.
+  /// Throws on bad magic or version; a v1, v2 or v3 file gets an explicit
+  /// regenerate message rather than a generic mismatch.
   static void read_file_header(std::istream& is);
 
-  static void write_md_section(std::ostream& os,
-                               const lat::LatticeNeighborList& lnl,
-                               double time_ps);
-  static double read_md_section(std::istream& is, lat::LatticeNeighborList& lnl);
+  /// The census payload starts with `model`'s geometry prefix; the reader
+  /// checks it against `model` and rejects any vacancy site outside the
+  /// owned box before returning.
+  static void write_census_section(std::ostream& os, const kmc::KmcModel& model,
+                                   const Census& census);
+  static Census read_census_section(std::istream& is,
+                                    const kmc::KmcModel& model);
 
   static void write_kmc_section(std::ostream& os, const kmc::KmcModel& model,
                                 double mc_time_s);

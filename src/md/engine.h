@@ -74,10 +74,6 @@ class MdEngine {
   /// Simulated physical time since initialize() [ps].
   double simulated_time() const { return time_; }
 
-  /// Adopt an externally restored clock (checkpoint restart: the lattice is
-  /// loaded by io::Checkpoint, which returns the saved time).
-  void set_simulated_time(double t_ps) { time_ = t_ps; }
-
   /// Attach the slave-core force backend (nullptr restores the reference
   /// path). The pointer must outlive the engine's use of it.
   void use_slave_kernel(SlaveForceCompute* kernel) { slave_ = kernel; }

@@ -2,7 +2,8 @@
 //   - io::CheckpointStore atomic-write / commit / prune discipline,
 //   - io::FaultInjector units (truncate, bit-flip, fail-on-nth-write),
 //   - restart equivalence: run N cycles vs run N/2, "crash", resume — the
-//     reports (defect census included) must be bit-identical,
+//     reports (defect census included) and the epochs written after the
+//     resume must be bit-identical,
 //   - graceful degradation: every injected fault is detected at load or at
 //     write time, and the run falls back to the previous good epoch instead
 //     of crashing.
@@ -264,6 +265,36 @@ TEST(CheckpointRestart, ResumeMatchesUninterruptedRun) {
 
   expect_same_physics(clean_full_report(), resumed);
   fs::remove_all(dir);
+}
+
+TEST(CheckpointRestart, EpochAfterResumeMatchesUninterruptedEpoch) {
+  // An epoch written after a resume carries the census and the MD clock the
+  // resume restored, so its rank files equal the uninterrupted run's byte
+  // for byte.
+  core::SimulationConfig full = base_config();
+  full.checkpoint_dir = fresh_dir("epoch_uninterrupted");
+  full.checkpoint_every = 4;
+  core::Simulation(full).run();
+
+  core::SimulationConfig half = full;
+  half.kmc_cycles = 4;
+  half.checkpoint_dir = fresh_dir("epoch_resumed");
+  core::Simulation(half).run();
+  core::SimulationConfig rest = full;
+  rest.checkpoint_dir = half.checkpoint_dir;
+  rest.resume = true;
+  ASSERT_TRUE(core::Simulation(rest).run().resumed);
+
+  const io::CheckpointStore uninterrupted(full.checkpoint_dir, full.nranks);
+  const io::CheckpointStore resumed(rest.checkpoint_dir, rest.nranks);
+  for (int rank = 0; rank < full.nranks; ++rank) {
+    const auto want = uninterrupted.read_rank_blob(8, rank);
+    const auto got = resumed.read_rank_blob(8, rank);
+    ASSERT_TRUE(want.has_value() && got.has_value()) << "rank " << rank;
+    EXPECT_EQ(*got, *want) << "rank " << rank;
+  }
+  fs::remove_all(full.checkpoint_dir);
+  fs::remove_all(rest.checkpoint_dir);
 }
 
 TEST(CheckpointRestart, IncrementalResumeMatchesRescanOracle) {

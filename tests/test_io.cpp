@@ -7,6 +7,7 @@
 
 #include "io/checkpoint.h"
 #include "io/xyz.h"
+#include "kmc/engine.h"
 #include "md/engine.h"
 #include "util/crc32.h"
 
@@ -96,79 +97,6 @@ TEST(Xyz, KmcSites) {
   EXPECT_NE(os.str().find("\nX "), std::string::npos);
 }
 
-TEST(Checkpoint, MdRoundTrip) {
-  md::MdConfig cfg;
-  cfg.nx = cfg.ny = cfg.nz = 6;
-  cfg.temperature = 300.0;
-  cfg.table_segments = 400;
-  const md::MdSetup setup(cfg, 1);
-  const auto tables = pot::EamTableSet::build(
-      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), cfg.table_segments);
-  std::string blob;
-  std::vector<util::Vec3> expected_r, expected_v;
-  comm::World world(1);
-  world.run([&](comm::Comm& comm) {
-    md::MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
-    engine.initialize(comm);
-    engine.run(comm, 3);
-    // Make a defect so the run-away pool round-trips too.
-    auto& lnl = engine.lattice();
-    const std::size_t idx = lnl.box().entry_index({3, 3, 3, 0});
-    lnl.entry(idx).r += util::Vec3{0.4, 0.3, 0.1};
-    lnl.detach(idx);
-    std::ostringstream os;
-    Checkpoint::save_md(os, lnl, engine.simulated_time());
-    blob = os.str();
-    for (std::size_t i : lnl.owned_indices()) {
-      expected_r.push_back(lnl.entry(i).r);
-      expected_v.push_back(lnl.entry(i).v);
-    }
-  });
-  // Restore into a fresh lattice.
-  lat::LatticeNeighborList restored(setup.geo, setup.dd.local_box(0),
-                                    cfg.cutoff + md::kNeighborSkin);
-  std::istringstream is(blob);
-  const double t = Checkpoint::load_md(is, restored);
-  EXPECT_GT(t, 0.0);
-  std::size_t k = 0;
-  for (std::size_t i : restored.owned_indices()) {
-    EXPECT_EQ(restored.entry(i).r, expected_r[k]);
-    EXPECT_EQ(restored.entry(i).v, expected_v[k]);
-    ++k;
-  }
-  EXPECT_EQ(restored.count_owned_vacancies(), 1u);
-  EXPECT_EQ(restored.count_owned_runaways(), 1u);
-}
-
-TEST(Checkpoint, MdRejectsWrongGeometry) {
-  md::MdConfig cfg;
-  cfg.nx = cfg.ny = cfg.nz = 6;
-  cfg.table_segments = 300;
-  const md::MdSetup setup(cfg, 1);
-  const auto tables = pot::EamTableSet::build(
-      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), cfg.table_segments);
-  std::string blob;
-  comm::World world(1);
-  world.run([&](comm::Comm& comm) {
-    md::MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
-    engine.initialize(comm);
-    std::ostringstream os;
-    Checkpoint::save_md(os, engine.lattice(), 0.0);
-    blob = os.str();
-  });
-  lat::BccGeometry other(8, 8, 8, cfg.lattice_constant);
-  lat::LatticeNeighborList wrong(other, lat::LocalBox{0, 0, 0, 8, 8, 8, 2}, 5.0);
-  std::istringstream is(blob);
-  EXPECT_THROW(Checkpoint::load_md(is, wrong), std::runtime_error);
-}
-
-TEST(Checkpoint, RejectsCorruptHeader) {
-  std::istringstream is(std::string("garbage data that is not a checkpoint"));
-  lat::BccGeometry g(4, 4, 4, kA);
-  lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 4, 4, 4, 2}, 5.0);
-  EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error);
-}
-
 TEST(Checkpoint, KmcRoundTrip) {
   kmc::KmcConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 8;
@@ -197,26 +125,86 @@ TEST(Checkpoint, KmcRoundTrip) {
 
 namespace {
 
-/// A small lattice with a vacancy and a two-atom run-away chain, serialized.
-std::string md_blob(const lat::BccGeometry& g, const lat::LocalBox& box) {
-  lat::LatticeNeighborList lnl(g, box, 5.0);
-  lnl.fill_perfect(lat::Species::Fe);
-  const std::size_t host = lnl.box().entry_index({1, 1, 1, 0});
-  lnl.entry(host).r += util::Vec3{0.4, 0.2, 0.1};
-  lnl.detach(host);
-  lat::RunawayAtom extra;
-  extra.r = {1.0, 2.0, 3.0};
-  extra.v = {0.1, 0.2, 0.3};
-  extra.id = 7;
-  lnl.add_runaway(extra, lnl.box().entry_index({2, 2, 2, 1}));
+/// A 6-cube KMC box split over two ranks: the models an epoch blob is
+/// written from and read back into.
+struct TwoRankKmc {
+  kmc::KmcConfig cfg = [] {
+    kmc::KmcConfig c;
+    c.nx = c.ny = c.nz = 6;
+    c.table_segments = 200;
+    return c;
+  }();
+  kmc::KmcSetup setup{cfg, 2};
+  pot::EamTableSet tables = pot::EamTableSet::build(
+      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff),
+      cfg.table_segments);
+
+  kmc::KmcModel model(int rank) const {
+    return kmc::KmcModel(cfg, setup.geo, setup.dd, tables, rank);
+  }
+};
+
+const TwoRankKmc& two_rank_kmc() {
+  static const TwoRankKmc box;
+  return box;
+}
+
+/// The MD->KMC census of a rank: three of its owned sites, each made a
+/// vacancy on `model` too.
+Checkpoint::Census census_of(kmc::KmcModel& model) {
+  Checkpoint::Census census;
+  census.md_defects = {3456, 3, 2};
+  for (const std::size_t k : {0u, 7u, 100u}) {
+    const std::size_t idx = model.owned_indices()[k];
+    model.set_state(idx, kmc::SiteState::Vacancy);
+    census.vacancy_sites.push_back(model.site_rank_of(idx));
+  }
+  return census;
+}
+
+/// A whole v4 epoch of `model`'s rank: META, CENSUS and KMC sections.
+std::string epoch_blob(const kmc::KmcModel& model,
+                       const Checkpoint::Census& census) {
+  Checkpoint::MetaState meta;
+  meta.rank = model.rank();
+  meta.nranks = 2;
+  meta.seed = 42;
+  meta.md_time_ps = 0.03;
+  meta.kmc.cycles = 4;
+  meta.stage_tag = "sampling";
   std::ostringstream os;
-  Checkpoint::save_md(os, lnl, 0.5);
+  Checkpoint::write_file_header(os);
+  Checkpoint::write_meta_section(os, meta);
+  Checkpoint::write_census_section(os, model, census);
+  Checkpoint::write_kmc_section(os, model, 1.5e-4);
   return os.str();
 }
 
-std::string md_blob_3cube() {
-  lat::BccGeometry g(3, 3, 3, kA);
-  return md_blob(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2});
+/// Rank 1's epoch of the two-rank box.
+std::string rank1_epoch() {
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  const Checkpoint::Census census = census_of(model);
+  return epoch_blob(model, census);
+}
+
+/// Reads an epoch blob the way KmcStage::resume does; returns its census.
+Checkpoint::Census load_epoch(const std::string& blob, kmc::KmcModel& model) {
+  std::istringstream is(blob);
+  Checkpoint::read_file_header(is);
+  Checkpoint::read_meta_section(is);
+  Checkpoint::Census census = Checkpoint::read_census_section(is, model);
+  Checkpoint::read_kmc_section(is, model);
+  return census;
+}
+
+/// The message of the error load_epoch throws, or "" when it throws none.
+std::string load_error(const std::string& blob, kmc::KmcModel& model) {
+  try {
+    load_epoch(blob, model);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 void patch_u32(std::string& blob, std::size_t off, std::uint32_t v) {
@@ -226,141 +214,147 @@ void patch_u32(std::string& blob, std::size_t off, std::uint32_t v) {
   }
 }
 
-// v2 layout: file header 8 B; section kind @8, length @12, crc @20,
-// payload @24. MD payload: 9*i32 geometry, f64 time, u64 count, then
-// records of 90 B + u32 chain_len (+ chain).
-constexpr std::size_t kPayloadOff = 24;
-constexpr std::size_t kSectionCrcOff = 20;
-constexpr std::size_t kFirstChainLenOff = kPayloadOff + 36 + 8 + 8 + 90;
+void patch_u64(std::string& blob, std::size_t off, std::uint64_t v) {
+  patch_u32(blob, off, static_cast<std::uint32_t>(v));
+  patch_u32(blob, off + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+// v4 epoch layout: file header 8 B (version @4); the META section (kind,
+// length @+4, crc @+12, payload @+16), 124 B in all with the "sampling" tag
+// (MetaSectionRoundTripsAndKeepsV3Layout pins it); then the CENSUS section,
+// whose payload is 9*i32 geometry, 3*u64 defect counts, u64 vacancy count
+// and one i64 site rank per vacancy.
+constexpr std::size_t kCensusOff = 8 + 124;
+constexpr std::size_t kCensusCrcOff = kCensusOff + 12;
+constexpr std::size_t kCensusPayloadOff = kCensusOff + 16;
+constexpr std::size_t kCensusPayloadBytes = 36 + 24 + 8 + 3 * 8;
+constexpr std::size_t kVacancyCountOff = kCensusPayloadOff + 36 + 24;
+constexpr std::size_t kFirstSiteOff = kVacancyCountOff + 8;
+
+/// Recompute the CENSUS section's CRC after a payload patch, so only the
+/// reader's own checks stand between the forged field and the run.
+void reseal_census(std::string& blob) {
+  patch_u32(blob, kCensusCrcOff,
+            util::crc32(blob.substr(kCensusPayloadOff, kCensusPayloadBytes)));
+}
 
 }  // namespace
+
+TEST(Checkpoint, CensusRoundTrip) {
+  // Every rank's census comes back field for field, next to its KMC sites.
+  const TwoRankKmc& box = two_rank_kmc();
+  for (int rank = 0; rank < 2; ++rank) {
+    kmc::KmcModel model = box.model(rank);
+    const Checkpoint::Census census = census_of(model);
+    kmc::KmcModel restored = box.model(rank);
+    const Checkpoint::Census back =
+        load_epoch(epoch_blob(model, census), restored);
+    EXPECT_EQ(back.md_defects.atoms, census.md_defects.atoms);
+    EXPECT_EQ(back.md_defects.vacancies, census.md_defects.vacancies);
+    EXPECT_EQ(back.md_defects.interstitials, census.md_defects.interstitials);
+    EXPECT_EQ(back.vacancy_sites, census.vacancy_sites) << "rank " << rank;
+    EXPECT_EQ(restored.count_owned_vacancies(), 3u) << "rank " << rank;
+  }
+}
+
+TEST(Checkpoint, EpochRejectsWrongGeometry) {
+  // Rank 1's epoch read into rank 0's model: the geometry prefix differs.
+  kmc::KmcModel rank0 = two_rank_kmc().model(0);
+  EXPECT_NE(load_error(rank1_epoch(), rank0).find("geometry"),
+            std::string::npos);
+}
+
+TEST(Checkpoint, RejectsCorruptHeader) {
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  EXPECT_THROW(load_epoch("garbage data that is not a checkpoint", model),
+               std::runtime_error);
+}
 
 TEST(Checkpoint, BlobsAreByteDeterministic) {
   // Explicit field serialization: no struct padding reaches the stream, so
   // two saves of the same state are identical (and CRCs are stable).
-  EXPECT_EQ(md_blob_3cube(), md_blob_3cube());
+  EXPECT_EQ(rank1_epoch(), rank1_epoch());
 }
 
 TEST(Checkpoint, TruncationRejectedAtAnyLength) {
-  const std::string blob = md_blob_3cube();
-  lat::BccGeometry g(3, 3, 3, kA);
-  for (std::size_t len = 0; len < blob.size();
-       len += 1 + blob.size() / 97) {
-    lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
-    std::istringstream is(blob.substr(0, len));
-    EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error)
+  const std::string blob = rank1_epoch();
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_THROW(load_epoch(blob.substr(0, len), model), std::runtime_error)
         << "truncation at byte " << len << " was not rejected";
   }
 }
 
 TEST(Checkpoint, BitFlipAnywhereInPayloadRejected) {
-  const std::string blob = md_blob_3cube();
-  lat::BccGeometry g(3, 3, 3, kA);
-  for (std::size_t off = kPayloadOff; off < blob.size();
-       off += 1 + blob.size() / 61) {
+  // Every byte after the file header: section headers and payloads alike.
+  const std::string blob = rank1_epoch();
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  for (std::size_t off = 8; off < blob.size(); ++off) {
     std::string bad = blob;
     bad[off] = static_cast<char>(bad[off] ^ 0x10);
-    lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
-    std::istringstream is(bad);
-    EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error)
+    EXPECT_THROW(load_epoch(bad, model), std::runtime_error)
         << "bit flip at byte " << off << " was not rejected";
   }
 }
 
-TEST(Checkpoint, OversizedChainLenRejectedBeforeAllocation) {
-  // A corrupt chain_len must be bounded against the bytes actually present,
-  // not fed to a vector constructor. Forge a blob whose CRC is valid but
-  // whose first record claims a multi-GB chain.
-  std::string blob = md_blob_3cube();
-  patch_u32(blob, kFirstChainLenOff, 0x3FFFFFFFu);
-  patch_u32(blob, kSectionCrcOff, util::crc32(blob.substr(kPayloadOff)));
-  lat::BccGeometry g(3, 3, 3, kA);
-  lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
-  std::istringstream is(blob);
-  try {
-    Checkpoint::load_md(is, lnl);
-    FAIL() << "oversized chain_len was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("chain length"), std::string::npos)
-        << e.what();
+TEST(Checkpoint, OversizedVacancyCountRejectedBeforeAllocation) {
+  // A corrupt vacancy count must be bounded against the bytes actually
+  // present, not fed to a vector resize. Forge a census whose CRC is valid
+  // but whose count claims 2^60 sites.
+  std::string blob = rank1_epoch();
+  patch_u64(blob, kVacancyCountOff, 1ull << 60);
+  reseal_census(blob);
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  const std::string error = load_error(blob, model);
+  EXPECT_NE(error.find("vacancy count"), std::string::npos) << error;
+}
+
+TEST(Checkpoint, VacancySiteOutsideOwnedBoxRejected) {
+  // A census site that rank 1 does not own: one of rank 0's sites, and two
+  // outside the lattice.
+  const TwoRankKmc& box = two_rank_kmc();
+  const kmc::KmcModel rank0 = box.model(0);
+  const std::int64_t foreign[] = {
+      rank0.site_rank_of(rank0.owned_indices()[5]), -1,
+      box.setup.geo.num_sites()};
+  for (const std::int64_t site : foreign) {
+    std::string blob = rank1_epoch();
+    patch_u64(blob, kFirstSiteOff, static_cast<std::uint64_t>(site));
+    reseal_census(blob);
+    kmc::KmcModel model = box.model(1);
+    const std::string error = load_error(blob, model);
+    EXPECT_NE(error.find("not an owned site"), std::string::npos)
+        << "site " << site << ": " << error;
   }
 }
 
 TEST(Checkpoint, OversizedSectionLengthRejected) {
-  std::string blob = md_blob_3cube();
-  // Section length field (u64 little-endian at offset 12): claim 1 TiB.
-  patch_u32(blob, 12, 0x00000000u);
-  patch_u32(blob, 16, 0x00000100u);
-  lat::BccGeometry g(3, 3, 3, kA);
-  lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
-  std::istringstream is(blob);
-  EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error);
+  // Claim 1 TiB in the META and in the CENSUS section length (u64 @+4).
+  for (const std::size_t section : {std::size_t{8}, kCensusOff}) {
+    std::string blob = rank1_epoch();
+    patch_u64(blob, section + 4, 1ull << 40);
+    kmc::KmcModel model = two_rank_kmc().model(1);
+    const std::string error = load_error(blob, model);
+    EXPECT_NE(error.find("section length"), std::string::npos) << error;
+  }
 }
 
 TEST(Checkpoint, Version1RejectedWithMigrationMessage) {
-  std::string blob = md_blob_3cube();
+  std::string blob = rank1_epoch();
   patch_u32(blob, 4, 1u);  // version field
-  lat::BccGeometry g(3, 3, 3, kA);
-  lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
-  std::istringstream is(blob);
-  try {
-    Checkpoint::load_md(is, lnl);
-    FAIL() << "version 1 blob was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
-        << e.what();
-  }
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  const std::string error = load_error(blob, model);
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
-TEST(Checkpoint, MultiRankRoundTripWithRunawayChains) {
-  // Per-rank files across a 4-rank decomposition, every rank carrying a
-  // vacancy and a multi-atom run-away chain; chain order must survive.
-  lat::BccGeometry g(8, 8, 8, kA);
-  lat::DomainDecomposition dd(g, 4, 2);
-  for (int rank = 0; rank < 4; ++rank) {
-    lat::LatticeNeighborList lnl(g, dd.local_box(rank), 5.0);
-    lnl.fill_perfect(lat::Species::Fe);
-    const lat::LocalBox& b = lnl.box();
-    // LocalCoord is rank-local: owned cells span [0, l*) on every rank.
-    const std::size_t detached = b.entry_index({1, 1, 1, 0});
-    lnl.entry(detached).r += util::Vec3{0.5, 0.1, 0.2};
-    lnl.detach(detached);
-    const std::size_t host = b.entry_index({2, 1, 1, 1});
-    for (int k = 0; k < 3; ++k) {
-      lat::RunawayAtom a;
-      a.r = {1.0 + k, 2.0, 3.0 + rank};
-      a.v = {0.1 * k, 0.0, 0.0};
-      a.id = 100 * rank + k;
-      lnl.add_runaway(a, host);
-    }
-    std::ostringstream os;
-    Checkpoint::save_md(os, lnl, 1.0 + rank);
-
-    // Capture the expected chain (head order) and entry state.
-    std::vector<std::int64_t> expected_chain;
-    for (std::int32_t ri = lnl.entry(host).runaway_head;
-         ri != lat::AtomEntry::kNoRunaway; ri = lnl.runaway(ri).next) {
-      expected_chain.push_back(lnl.runaway(ri).id);
-    }
-    ASSERT_EQ(expected_chain.size(), 3u);
-
-    lat::LatticeNeighborList restored(g, dd.local_box(rank), 5.0);
-    std::istringstream is(os.str());
-    EXPECT_DOUBLE_EQ(Checkpoint::load_md(is, restored), 1.0 + rank);
-    EXPECT_EQ(restored.count_owned_vacancies(), lnl.count_owned_vacancies());
-    EXPECT_EQ(restored.count_owned_runaways(), lnl.count_owned_runaways());
-    std::vector<std::int64_t> got_chain;
-    for (std::int32_t ri = restored.entry(host).runaway_head;
-         ri != lat::AtomEntry::kNoRunaway; ri = restored.runaway(ri).next) {
-      got_chain.push_back(restored.runaway(ri).id);
-    }
-    EXPECT_EQ(got_chain, expected_chain) << "rank " << rank;
-    for (std::size_t i : restored.owned_indices()) {
-      EXPECT_EQ(restored.entry(i).id, lnl.entry(i).id);
-      EXPECT_EQ(restored.entry(i).r, lnl.entry(i).r);
-      EXPECT_EQ(restored.entry(i).v, lnl.entry(i).v);
-    }
-  }
+TEST(Checkpoint, Version3RejectedWithRegenerateMessage) {
+  // A v3 epoch carries the frozen MD lattice instead of the census.
+  std::string blob = rank1_epoch();
+  patch_u32(blob, 4, 3u);
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  const std::string error = load_error(blob, model);
+  EXPECT_NE(error.find("version 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("re-generate"), std::string::npos) << error;
 }
 
 TEST(Checkpoint, MetaSectionRoundTripsAndKeepsV3Layout) {
@@ -407,18 +401,22 @@ TEST(Checkpoint, MetaSectionRoundTripsAndKeepsV3Layout) {
 }
 
 TEST(Checkpoint, KindMismatchRejected) {
-  kmc::KmcConfig cfg;
-  cfg.nx = cfg.ny = cfg.nz = 6;
-  lat::BccGeometry geo(6, 6, 6, cfg.lattice_constant);
-  lat::DomainDecomposition dd(geo, 1, 3);
-  const auto tables = pot::EamTableSet::build(
-      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), 200);
-  kmc::KmcModel model(cfg, geo, dd, tables, 0);
+  // An epoch starts with META, not the KMC section a save_kmc file holds,
+  // and the other way round.
+  kmc::KmcModel model = two_rank_kmc().model(1);
+  std::istringstream epoch(rank1_epoch());
+  try {
+    Checkpoint::load_kmc(epoch, model);
+    FAIL() << "an epoch was read as a KMC file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("wrong checkpoint kind"),
+              std::string::npos)
+        << e.what();
+  }
   std::ostringstream os;
   Checkpoint::save_kmc(os, model, 0.0);
-  lat::LatticeNeighborList lnl(geo, dd.local_box(0), 5.0);
-  std::istringstream is(os.str());
-  EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error);
+  EXPECT_NE(load_error(os.str(), model).find("wrong checkpoint kind"),
+            std::string::npos);
 }
 
 }  // namespace

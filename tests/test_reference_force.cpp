@@ -196,6 +196,29 @@ bool differs(const util::Vec3& a, const util::Vec3& b) {
   return differs(a.x, b.x) || differs(a.y, b.y) || differs(a.z, b.z);
 }
 
+/// A frozen force and, per component, the sum of its pair terms'
+/// magnitudes: the standard error bound of a floating-point sum scales with
+/// that sum, not with the result, which can cancel to far less.
+struct FrozenForce {
+  util::Vec3 f;
+  util::Vec3 term_sum;  ///< per component, the sum of |d * scale|
+};
+
+/// A force against the frozen kernel's: bit for bit, unless the build
+/// contracts into FMA; there each component may move by 1e-12 of its
+/// term_sum.
+bool differs(const util::Vec3& a, const FrozenForce& b) {
+#if defined(__FMA__)
+  auto off = [](double x, double y, double term_sum) {
+    return std::abs(x - y) > 1e-12 * term_sum;
+  };
+  return off(a.x, b.f.x, b.term_sum.x) || off(a.y, b.f.y, b.term_sum.y) ||
+         off(a.z, b.f.z, b.term_sum.z);
+#else
+  return a != b.f;
+#endif
+}
+
 /// Frozen per-pair EAM density kernel: one table lookup per pair, summed in
 /// visit order.
 template <typename Visit>
@@ -217,12 +240,13 @@ double per_pair_rho(const pot::EamTableSet& tables, const util::Vec3& r0,
 /// production kernel caches F'(rho) per particle and shares one window
 /// between phi' and f'; both must give the same bits.
 template <typename Visit>
-util::Vec3 per_pair_force(const pot::EamTableSet& tables, const util::Vec3& r0,
-                          int t0, double rho0, Visit&& visit) {
+FrozenForce per_pair_force(const pot::EamTableSet& tables,
+                           const util::Vec3& r0, int t0, double rho0,
+                           Visit&& visit) {
   const double cut2 = tables.cutoff * tables.cutoff;
   const double r_min = tables.r_min;
   const double fp0 = tables.embed_of(t0).derivative(rho0);
-  util::Vec3 force;
+  FrozenForce force;
   visit([&](const lat::ParticleView& p) {
     const util::Vec3 d = p.r - r0;
     const double r2 = d.norm2();
@@ -234,7 +258,9 @@ util::Vec3 per_pair_force(const pot::EamTableSet& tables, const util::Vec3& r0,
     tables.f(t0, t1).eval(r, nullptr, &df);
     const double fp1 = tables.embed_of(t1).derivative(p.rho);
     const double scale = (dphi + (fp0 + fp1) * df) / r;
-    force += d * scale;
+    const util::Vec3 term = d * scale;
+    force.f += term;
+    force.term_sum += {std::abs(term.x), std::abs(term.y), std::abs(term.z)};
   });
   return force;
 }
@@ -251,10 +277,10 @@ struct OracleTally {
   Mismatches scalar;  ///< a ReferenceForce with the vector unit off
 };
 
-/// Counts a mismatch of one particle's rho and force against the frozen
-/// kernels' values.
-template <typename Particle>
-void tally(Mismatches& m, const Particle& p, double rho, const util::Vec3& f) {
+/// Counts a mismatch of one particle's rho and force against reference
+/// values: the frozen kernels' (a FrozenForce) or another evaluator's.
+template <typename Particle, typename Force>
+void tally(Mismatches& m, const Particle& p, double rho, const Force& f) {
   if (differs(p.rho, rho)) ++m.rho;
   if (differs(p.f, f)) ++m.force;
 }
@@ -309,7 +335,7 @@ OracleTally run_cascade_oracle(int nranks, double solute, int steps) {
         ++t.compared;
         if (e.type != lat::Species::Fe) ++t.solutes;
         const double rho = per_pair_rho(tables, e.r, type, visit);
-        const util::Vec3 f = per_pair_force(tables, e.r, type, e.rho, visit);
+        const FrozenForce f = per_pair_force(tables, e.r, type, e.rho, visit);
         tally(t.engine, e, rho, f);
         tally(t.scalar, copy.entry(idx), rho, f);
       }
@@ -319,7 +345,7 @@ OracleTally run_cascade_oracle(int nranks, double solute, int steps) {
         const int type = static_cast<int>(a.type);
         ++t.runaways_compared;
         const double rho = per_pair_rho(tables, a.r, type, visit);
-        const util::Vec3 f = per_pair_force(tables, a.r, type, a.rho, visit);
+        const FrozenForce f = per_pair_force(tables, a.r, type, a.rho, visit);
         tally(t.engine, a, rho, f);
         tally(t.scalar, copy.runaway(ri), rho, f);
       });
